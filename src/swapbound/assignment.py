@@ -301,16 +301,15 @@ def assign_qubits(
     cg: Graph,
     *,
     class_budget: int = DEFAULT_CLASS_BUDGET,
-    force_dense: bool = False,
 ) -> AssignmentResult:
     """Full placement pipeline, returning the assignment and its GED.
 
     Monomorphism first (GED 0); otherwise exact similarity search over
     connected-subgraph classes (minimal GED; ties prefer subgraphs with
     more edges, then the lexicographically smallest node set). Complete
-    interaction graphs, forced calls, and enumerations exceeding
-    ``class_budget`` subsets use the greedy dense shortcut instead; its
-    reported GED is exact for complete IGs and an upper bound otherwise.
+    interaction graphs and enumerations exceeding ``class_budget`` subsets
+    use the greedy dense shortcut instead; its reported GED is exact for
+    complete IGs and an upper bound otherwise.
     """
     k = ig.graph.n
     if k > cg.n:
@@ -329,7 +328,7 @@ def assign_qubits(
         # Disconnected image (possible for disconnected IGs): fall through
         # to the similarity search, whose hosts are connected by construction.
 
-    dense = force_dense or (ig.graph.is_complete() and k >= 2)
+    dense = ig.graph.is_complete() and k >= 2
     subsets: list[tuple[int, ...]] = []
     if not dense:
         for subset in connected_subsets(cg, k):

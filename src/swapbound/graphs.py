@@ -7,7 +7,6 @@ tuples so that edge iteration order is deterministic.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -165,19 +164,6 @@ def relabel(g: Graph, mapping: Sequence[int]) -> Graph:
     return Graph(g.n, frozenset(normalize_edge(mapping[u], mapping[v]) for u, v in g.edges))
 
 
-def _adjacency_bits(g: Graph, order: Sequence[int]) -> int:
-    """Upper-triangle adjacency bitstring under the given vertex order."""
-    bits = 0
-    pos = 0
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            bits <<= 1
-            if g.has_edge(order[i], order[j]):
-                bits |= 1
-            pos += 1
-    return bits
-
-
 def _refined_colors(g: Graph) -> list[int]:
     """Iterated degree refinement; color ids are label-invariant."""
     colors = list(g.degrees)
@@ -193,30 +179,45 @@ def _refined_colors(g: Graph) -> list[int]:
     return colors
 
 
-_EXHAUSTIVE_CANONICAL_LIMIT = 8
-
-
 def canonical_form(g: Graph) -> tuple[int, int]:
     """Isomorphism-invariant key: equal keys iff graphs are isomorphic.
 
-    Minimal adjacency bitstring over all vertex orderings for n <= 8;
-    above that, orderings are restricted to refinement color classes,
-    which is still exact because the colors are label-invariant.
+    The smallest upper-triangle adjacency bitstring, read column by column,
+    over the vertex orderings that list the refinement colour classes in
+    colour order (McKay and Piperno's refinement, without individualisation).
+    The colours are label-invariant, so the minimum is too, and a bitstring
+    determines its graph. The search prunes prefixes above the best found,
+    and a vertex whose twin (same neighbours apart from each other) was
+    already tried at the same position: exchanging twins is an automorphism.
     """
-    if g.n <= 1:
-        return (g.n, 0)
-    if g.n <= _EXHAUSTIVE_CANONICAL_LIMIT:
-        best = min(_adjacency_bits(g, order) for order in itertools.permutations(range(g.n)))
-        return (g.n, best)
+    n = g.n
+    nbr = [sum(1 << w for w in a) for a in g.adjacency]
+    twins = [
+        sum(1 << u for u in range(n) if u != v and nbr[u] & ~(1 << v) == nbr[v] & ~(1 << u))
+        for v in range(n)
+    ]
     colors = _refined_colors(g)
-    groups: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        groups.setdefault(c, []).append(v)
-    blocks = [groups[c] for c in sorted(groups)]
-    best = None
-    for parts in itertools.product(*(itertools.permutations(b) for b in blocks)):
-        order = [v for part in parts for v in part]
-        bits = _adjacency_bits(g, order)
-        if best is None or bits < best:
-            best = bits
-    return (g.n, best)
+    cells = [[u for u in range(n) if colors[u] == c] for c in sorted(colors)]
+    total = n * (n - 1) // 2
+    best = 1 << total  # above every bitstring
+
+    def search(order: list[int], used: int, bits: int):
+        nonlocal best
+        j = len(order)
+        if j == n:
+            best = bits  # pruning lets only bitstrings <= best get here
+            return
+        limit = best >> (total - j * (j + 1) // 2)
+        tried = 0
+        for v in cells[j]:
+            if used >> v & 1 or twins[v] & tried:
+                continue
+            tried |= 1 << v
+            column = bits
+            for u in order:
+                column = column << 1 | (nbr[v] >> u & 1)
+            if column <= limit:
+                search(order + [v], used | 1 << v, column)
+
+    search([], 0, 0)
+    return (n, best)

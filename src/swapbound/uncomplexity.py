@@ -267,6 +267,24 @@ def swap_uncomplexity(
     return m, AlgoTrace(tuple(steps), beta, m, stalled, iterations)
 
 
+def _sweep(
+    ig: InteractionGraph, a: Assignment, grid: Sequence[float] | None, **run_kwargs
+) -> tuple[SweepResult, AlgoTrace]:
+    """The sweep and the trace of its winning run."""
+    values = standard_beta_grid() if grid is None else validate_beta_grid(grid)
+    per_beta: list[tuple[float, int, bool]] = []
+    best: tuple[int, float, AlgoTrace] | None = None
+    for b in values:
+        m, trace = swap_uncomplexity(ig, a, b, **run_kwargs)
+        per_beta.append((b, m, trace.stalled))
+        if not trace.stalled and (best is None or m < best[0]):
+            best = (m, b, trace)
+    if best is None:
+        raise SweepError("every sweep run stalled", partial=per_beta)
+    m_star, beta_star, trace = best
+    return SweepResult(beta_star, m_star, tuple(per_beta)), trace
+
+
 def beta_sweep(
     ig: InteractionGraph,
     a: Assignment,
@@ -281,19 +299,8 @@ def beta_sweep(
     Stalled runs are excluded from the minimum. If every run stalls,
     raises :class:`SweepError` carrying the per-beta results.
     """
-    values = standard_beta_grid() if grid is None else validate_beta_grid(grid)
-    per_beta: list[tuple[float, int, bool]] = []
-    best: tuple[int, float] | None = None
-    for b in values:
-        m, trace = swap_uncomplexity(
-            ig, a, b, eps_iso=eps_iso, eps_imp=eps_imp, stall_budget=stall_budget
-        )
-        per_beta.append((b, m, trace.stalled))
-        if not trace.stalled and (best is None or m < best[0]):
-            best = (m, b)
-    if best is None:
-        raise SweepError("every sweep run stalled", partial=per_beta)
-    return SweepResult(best[1], best[0], tuple(per_beta))
+    runs = {"eps_iso": eps_iso, "eps_imp": eps_imp, "stall_budget": stall_budget}
+    return _sweep(ig, a, grid, **runs)[0]
 
 
 def compute_bound(
@@ -312,19 +319,11 @@ def compute_bound(
     placed = assign_qubits(ig, cg, **kwargs)
     a = placed.assignment
     m_max = max_swap_bound(ig, a)
+    runs = {"eps_iso": eps_iso, "eps_imp": eps_imp, "stall_budget": stall_budget}
     if beta is not None:
-        m, trace = swap_uncomplexity(
-            ig, a, beta, eps_iso=eps_iso, eps_imp=eps_imp, stall_budget=stall_budget
-        )
-        return BoundReport(
-            m, beta, m_max, placed.ged, a, trace, trace.stalled, placed.method
-        )
-    sweep = beta_sweep(
-        ig, a, grid, eps_iso=eps_iso, eps_imp=eps_imp, stall_budget=stall_budget
-    )
-    _, trace = swap_uncomplexity(
-        ig, a, sweep.beta_star, eps_iso=eps_iso, eps_imp=eps_imp, stall_budget=stall_budget
-    )
+        m, trace = swap_uncomplexity(ig, a, beta, **runs)
+        return BoundReport(m, beta, m_max, placed.ged, a, trace, trace.stalled, placed.method)
+    sweep, trace = _sweep(ig, a, grid, **runs)
     return BoundReport(
         sweep.m_star,
         sweep.beta_star,

@@ -243,6 +243,28 @@ def test_assign_class_budget_forces_dense(tshape7, paw4):
     assert res.ged >= 1  # upper bound on the similarity search result
 
 
+def grid_graph(rows: int, cols: int) -> Graph:
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph.from_edges(rows * cols, edges)
+
+
+@pytest.mark.parametrize(
+    "k, ged, ig_to_cg",
+    [
+        (5, 1, (0, 2, 1, 5, 4)),
+        (6, 2, (0, 1, 2, 6, 5, 4)),
+        (7, 2, (1, 3, 2, 6, 5, 4, 0)),
+    ],
+)
+def test_assign_ring_chord_on_grid_ladder(k, ged, ig_to_cg):
+    # The chord (0, 2) closes an odd cycle, so nothing embeds in the bipartite
+    # grid and every connected k-subset of the 4x4 grid gets classed.
+    ring_chord = Graph.from_edges(k, [(i, (i + 1) % k) for i in range(k)] + [(0, 2)])
+    res = assign_qubits(ig_of(ring_chord), grid_graph(4, 4))
+    assert (res.method, res.ged, res.assignment.ig_to_cg) == ("similarity", ged, ig_to_cg)
+
+
 def test_assign_disconnected_ig_still_places(tshape7):
     # two components: vf2 image may induce a disconnected subgraph, so the
     # similarity fallback must deliver a connected host

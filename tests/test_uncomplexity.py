@@ -276,6 +276,26 @@ def test_compute_bound_end_to_end():
     assert report.u_swap <= report.m_swap_max
 
 
+def test_compute_bound_trace_is_the_winning_run():
+    # The smallest beta needs 3 swaps here, the winner (beta = 5) only 2, so
+    # the reported trace must come from the winning run, not the first.
+    ig = ig_of(
+        Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (3, 4)])
+    )
+    cg = Graph.from_edges(5, [(0, 1), (0, 2), (0, 4), (2, 3), (3, 4)])
+    report = compute_bound(ig, cg)
+    sweep = beta_sweep(ig, report.assignment)
+    assert (report.beta_star, report.u_swap, report.per_beta) == (
+        sweep.beta_star,
+        sweep.m_star,
+        sweep.per_beta,
+    )
+    assert report.per_beta[0][1] > report.u_swap
+    m, trace = swap_uncomplexity(ig, report.assignment, report.beta_star)
+    assert report.trace == trace
+    assert m == report.u_swap == trace.swap_count
+
+
 def test_compute_bound_single_beta():
     ig = ig_of(star_graph(4))
     report = compute_bound(ig, path_graph(4), beta=1e-3)
