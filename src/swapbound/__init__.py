@@ -12,13 +12,6 @@ from .assignment import (
     most_connected_subgraph,
     vf2_embed,
 )
-from .channels import (
-    BirkhoffDecomposition,
-    apply_transposition,
-    birkhoff_decompose,
-    erase_edge,
-    max_weight_term,
-)
 from .circuits import (
     Circuit,
     DeviceSpec,
@@ -31,7 +24,6 @@ from .circuits import (
     serialize_device,
 )
 from .errors import (
-    DecompositionError,
     NumericalError,
     ParseError,
     SizeGuardError,
@@ -45,7 +37,6 @@ from .oracle import brute_force_min_swaps, brute_force_over_assignments
 from .spectral import (
     DensityMatrix,
     entropy_curve,
-    fidelity,
     gibbs_state,
     graph_gibbs,
     laplacian,

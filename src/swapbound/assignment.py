@@ -16,6 +16,7 @@ from typing import Iterator, Sequence
 from .circuits import InteractionGraph
 from .errors import ValidationError
 from .graphs import (
+    Edge,
     Graph,
     canonical_form,
     graph_diameter,
@@ -59,6 +60,19 @@ class Assignment:
         """IG vertex -> subgraph label (index into cg_subgraph_nodes)."""
         index = {node: i for i, node in enumerate(self.cg_subgraph_nodes)}
         return tuple(index[c] for c in self.ig_to_cg)
+
+
+def pending_interactions(
+    edges, pos: Sequence[int], sub_edges: frozenset[Edge]
+) -> frozenset[Edge]:
+    """The routing model: interactions whose endpoints are not yet adjacent.
+
+    An interaction executes for free once its endpoints sit on a subgraph
+    edge; ``pos`` maps IG vertices to subgraph labels.
+    """
+    return frozenset(
+        e for e in edges if normalize_edge(pos[e[0]], pos[e[1]]) not in sub_edges
+    )
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 input error, 2 stall, 3 size-guard violation.
+Exit codes: 0 success, 1 input or usage error, 2 stall, 3 size-guard
+violation.
 """
 
 from __future__ import annotations
@@ -119,8 +120,6 @@ def _config_from(args) -> RunConfig:
         cfg = replace(cfg, class_budget=args.class_budget)
     if getattr(args, "format", None):
         cfg = replace(cfg, output_format=args.format)
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
     return cfg
 
 
@@ -222,11 +221,12 @@ def cmd_curve(args) -> int:
 def cmd_bench(args) -> int:
     cfg = _config_from(args)
     pairs = load_manifest(Path(args.manifest))
-    rows = run_manifest(pairs, cfg, jobs=args.jobs)
+    rows = run_manifest(pairs, cfg)
     csv_text = rows_to_csv(rows)
     sys.stdout.write(csv_text)
-    hist = beta_histogram(rows, cfg.grid)
-    summary = bench_summary(rows, cfg.grid)
+    grid = standard_beta_grid()
+    hist = beta_histogram(rows, grid)
+    summary = bench_summary(rows, grid)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -293,9 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="run a manifest of circuit/device pairs")
     p_bench.add_argument("manifest", help="JSON manifest with a 'pairs' list")
-    p_bench.add_argument("--jobs", type=int, default=1)
     p_bench.add_argument("--out", help="directory for CSV/JSON artifacts")
-    p_bench.add_argument("--seed", type=int, default=None)
     p_bench.set_defaults(func=cmd_bench)
 
     return parser
@@ -303,7 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:
         return args.func(args)
     except SizeGuardError as exc:

@@ -34,10 +34,6 @@ class NumericalError(SwapBoundError):
     """A numerical kernel produced non-finite or inconsistent results."""
 
 
-class DecompositionError(SwapBoundError):
-    """No valid convex-permutation decomposition exists for the input."""
-
-
 class SizeGuardError(ValidationError):
     """An exact routine was invoked beyond its enforced size guard."""
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from .assignment import Assignment, enumerate_connected_subgraph_classes
+from .assignment import Assignment, enumerate_connected_subgraph_classes, pending_interactions
 from .errors import SizeGuardError
-from .graphs import Edge, Graph, normalize_edge
+from .graphs import Edge, Graph
 
 ORACLE_MAX_VERTICES = 8
 
@@ -26,52 +26,37 @@ def _check_guard(k: int):
         )
 
 
-def _close(
-    pos: tuple[int, ...], remaining: frozenset[Edge], sub_edges: frozenset[Edge]
-) -> frozenset[Edge]:
-    """Drop every interaction whose endpoints are currently adjacent."""
-    return frozenset(
-        e for e in remaining if normalize_edge(pos[e[0]], pos[e[1]]) not in sub_edges
-    )
-
-
 def _min_swaps(
     starts: list[tuple[int, ...]], remaining0: frozenset[Edge], sub: Graph
 ) -> tuple[int, tuple[int, ...]]:
     """BFS over (occupancy, remaining) states; returns (swaps, best start)."""
     sub_edges = sub.edges
-    frontier: list[tuple[tuple[int, ...], frozenset[Edge], int]] = []
+    queue: deque[tuple[tuple[int, ...], frozenset[Edge], int, int]] = deque()
     visited = set()
     for idx, pos in enumerate(starts):
-        closed = _close(pos, remaining0, sub_edges)
+        closed = pending_interactions(remaining0, pos, sub_edges)
         if not closed:
             return 0, starts[idx]
         state = (pos, closed)
         if state not in visited:
             visited.add(state)
-            frontier.append((pos, closed, idx))
+            queue.append((pos, closed, idx, 0))
 
-    queue = deque(frontier)
-    depth_of = {state: 0 for state in visited}
-    origin = {(pos, rem): idx for pos, rem, idx in frontier}
     while queue:
-        pos, remaining, idx = queue.popleft()
-        depth = depth_of[(pos, remaining)]
+        pos, remaining, idx, depth = queue.popleft()
         for x, y in sub.edge_list:
             new_pos = list(pos)
             u = pos.index(x)
             v = pos.index(y)
             new_pos[u], new_pos[v] = y, x
             npos = tuple(new_pos)
-            closed = _close(npos, remaining, sub_edges)
+            closed = pending_interactions(remaining, npos, sub_edges)
             if not closed:
                 return depth + 1, starts[idx]
             state = (npos, closed)
             if state not in visited:
                 visited.add(state)
-                depth_of[state] = depth + 1
-                origin[state] = idx
-                queue.append((npos, closed, idx))
+                queue.append((npos, closed, idx, depth + 1))
     raise AssertionError("swap search exhausted without emptying the interaction set")
 
 

@@ -206,16 +206,6 @@ def qjsd_via_qre(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     ) / 2.0
 
 
-def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """F = (Tr sqrt(sqrt(sigma) rho sqrt(sigma)))^2, in [0, 1]."""
-    _check_same_dim(rho, sigma)
-    root = (sigma.eigenvectors * np.sqrt(_clamped_probs(sigma.eigenvalues))) @ sigma.eigenvectors.T
-    inner = root @ rho.entries @ root
-    w = _clamped_probs(np.linalg.eigvalsh(symmetrize(inner)))
-    value = float(np.sqrt(w).sum() ** 2)
-    return min(max(value, 0.0), 1.0)
-
-
 def entropy_curve(g: Graph, betas: Sequence[float]) -> list[tuple[float, float]]:
     """Entropy of the graph's Gibbs state at each beta (ascending grid)."""
     betas = [check_beta(b) for b in betas]

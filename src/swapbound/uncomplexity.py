@@ -20,7 +20,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .assignment import Assignment, assign_qubits, max_swap_bound
+from .assignment import Assignment, assign_qubits, max_swap_bound, pending_interactions
 from .circuits import InteractionGraph
 from .errors import SweepError, ValidationError
 from .graphs import Edge, Graph, normalize_edge, relabel
@@ -103,18 +103,9 @@ class BoundReport:
     per_beta: tuple[tuple[float, int, bool], ...] | None = None
 
 
-def _executable(
-    edges, pos: Sequence[int], sub_edges: frozenset[Edge]
-) -> frozenset[Edge]:
-    return frozenset(
-        e for e in edges if normalize_edge(pos[e[0]], pos[e[1]]) in sub_edges
-    )
-
-
 def remove_trivial_edges(ig: Graph, a: Assignment) -> Graph:
     """Drop interaction edges already sitting on subgraph couplers."""
-    pos = a.positions()
-    return Graph(ig.n, ig.edges - _executable(ig.edges, pos, a.cg_subgraph.edges))
+    return Graph(ig.n, pending_interactions(ig.edges, a.positions(), a.cg_subgraph.edges))
 
 
 def cg_in_ig_frame(a: Assignment) -> Graph:
@@ -147,7 +138,6 @@ class _Engine:
     def __init__(self, graph: Graph, sub: Graph, beta: float):
         self.k = graph.n
         self.beta = beta
-        self.sub = sub
         self.candidates = sub.edge_list
         w, v = laplacian_spectrum(sub)
         p_cg = gibbs_weights(np.asarray(w), beta)
@@ -160,32 +150,28 @@ class _Engine:
         rho = (np.asarray(v) * p) @ np.asarray(v).T
         return rho, entropy_of_probs(p)
 
-    def qjsd_single(self, remaining: frozenset[Edge], pos: Sequence[int]) -> float:
-        rho, s_rho = self.rho_parts(remaining)
-        mix = (rho + self.sigma0[np.ix_(pos, pos)]) / 2.0
-        s_mix = entropy_of_probs(np.linalg.eigvalsh(mix))
-        return max(s_mix - (s_rho + self.s_sigma) / 2.0, 0.0)
-
-    def qjsd_with_candidates(
-        self, remaining: frozenset[Edge], pos: Sequence[int]
-    ) -> tuple[float, np.ndarray, list[list[int]]]:
-        """Current divergence plus the divergence after each candidate swap."""
-        rho, s_rho = self.rho_parts(remaining)
-        pos = list(pos)
-        stacked = np.empty((1 + len(self.candidates), self.k, self.k))
-        stacked[0] = (rho + self.sigma0[np.ix_(pos, pos)]) / 2.0
-        swapped: list[list[int]] = []
-        for ci, (x, y) in enumerate(self.candidates):
+    def swapped(self, pos: list[int]) -> list[list[int]]:
+        """The placement after exchanging the occupants of each candidate edge."""
+        out = []
+        for x, y in self.candidates:
             u = pos.index(x)
             v = pos.index(y)
             npos = list(pos)
             npos[u], npos[v] = y, x
-            swapped.append(npos)
-            stacked[ci + 1] = (rho + self.sigma0[np.ix_(npos, npos)]) / 2.0
+            out.append(npos)
+        return out
+
+    def divergences(
+        self, remaining: frozenset[Edge], placements: Sequence[Sequence[int]]
+    ) -> np.ndarray:
+        """The divergence between the two states under each placement."""
+        rho, s_rho = self.rho_parts(remaining)
+        stacked = np.empty((len(placements), self.k, self.k))
+        for i, p in enumerate(placements):
+            stacked[i] = (rho + self.sigma0[np.ix_(p, p)]) / 2.0
         entropies = _row_entropies(np.linalg.eigvalsh(stacked))
         base = (s_rho + self.s_sigma) / 2.0
-        values = np.maximum(entropies - base, 0.0)
-        return float(values[0]), values[1:], swapped
+        return np.maximum(entropies - base, 0.0)
 
 
 def swap_uncomplexity(
@@ -193,8 +179,6 @@ def swap_uncomplexity(
     a: Assignment,
     beta: float,
     *,
-    eps_iso: float = EPS_ISO,
-    eps_imp: float = EPS_IMP,
     stall_budget: int | None = None,
 ) -> tuple[int, AlgoTrace]:
     """Swap count of the divergence descent at one inverse temperature.
@@ -214,10 +198,10 @@ def swap_uncomplexity(
 
     mapped = {normalize_edge(pos[u], pos[v]) for u, v in graph.edges}
     if mapped == set(sub_edges):
-        if engine.qjsd_single(frozenset(graph.edges), pos) <= eps_iso:
+        if engine.divergences(frozenset(graph.edges), [pos])[0] <= EPS_ISO:
             return 0, AlgoTrace((), beta, 0, False, 0)
 
-    remaining = frozenset(graph.edges) - _executable(graph.edges, pos, sub_edges)
+    remaining = pending_interactions(graph.edges, pos, sub_edges)
     steps: list[TraceStep] = []
     m = 0
     budget = stall_budget if stall_budget is not None else max_swap_bound(ig, a)
@@ -227,9 +211,10 @@ def swap_uncomplexity(
 
     def erase_now() -> bool:
         nonlocal remaining
-        newly = _executable(remaining, pos, sub_edges)
+        still = pending_interactions(remaining, pos, sub_edges)
+        newly = remaining - still
         if newly:
-            remaining = remaining - newly
+            remaining = still
             steps.append(EraseStep(tuple(sorted(newly))))
             return True
         return False
@@ -240,10 +225,12 @@ def swap_uncomplexity(
             steps.append(StallStep("iteration cap reached"))
             stalled = True
             break
-        qjsd1, cand_vals, swapped = engine.qjsd_with_candidates(remaining, pos)
-        best_i = int(np.argmin(cand_vals))  # first minimum = smallest edge
-        best_val = float(cand_vals[best_i])
-        if best_val < qjsd1 - eps_imp:
+        swapped = engine.swapped(pos)
+        values = engine.divergences(remaining, [pos] + swapped)
+        qjsd1 = float(values[0])
+        best_i = int(np.argmin(values[1:]))  # first minimum = smallest edge
+        best_val = float(values[1 + best_i])
+        if best_val < qjsd1 - EPS_IMP:
             pos = swapped[best_i]
             m += 1
             steps.append(SwapStep(engine.candidates[best_i], qjsd1, best_val))
@@ -268,14 +255,14 @@ def swap_uncomplexity(
 
 
 def _sweep(
-    ig: InteractionGraph, a: Assignment, grid: Sequence[float] | None, **run_kwargs
+    ig: InteractionGraph, a: Assignment, grid: Sequence[float] | None, stall_budget: int | None
 ) -> tuple[SweepResult, AlgoTrace]:
     """The sweep and the trace of its winning run."""
     values = standard_beta_grid() if grid is None else validate_beta_grid(grid)
     per_beta: list[tuple[float, int, bool]] = []
     best: tuple[int, float, AlgoTrace] | None = None
     for b in values:
-        m, trace = swap_uncomplexity(ig, a, b, **run_kwargs)
+        m, trace = swap_uncomplexity(ig, a, b, stall_budget=stall_budget)
         per_beta.append((b, m, trace.stalled))
         if not trace.stalled and (best is None or m < best[0]):
             best = (m, b, trace)
@@ -290,8 +277,6 @@ def beta_sweep(
     a: Assignment,
     grid: Sequence[float] | None = None,
     *,
-    eps_iso: float = EPS_ISO,
-    eps_imp: float = EPS_IMP,
     stall_budget: int | None = None,
 ) -> SweepResult:
     """Minimum swap count over the grid; ties resolve to the smallest beta.
@@ -299,8 +284,7 @@ def beta_sweep(
     Stalled runs are excluded from the minimum. If every run stalls,
     raises :class:`SweepError` carrying the per-beta results.
     """
-    runs = {"eps_iso": eps_iso, "eps_imp": eps_imp, "stall_budget": stall_budget}
-    return _sweep(ig, a, grid, **runs)[0]
+    return _sweep(ig, a, grid, stall_budget)[0]
 
 
 def compute_bound(
@@ -308,10 +292,7 @@ def compute_bound(
     cg: Graph,
     *,
     beta: float | None = None,
-    grid: Sequence[float] | None = None,
     class_budget: int | None = None,
-    eps_iso: float = EPS_ISO,
-    eps_imp: float = EPS_IMP,
     stall_budget: int | None = None,
 ) -> BoundReport:
     """Assignment, divergence bound (swept or at a fixed beta), max bound."""
@@ -319,11 +300,10 @@ def compute_bound(
     placed = assign_qubits(ig, cg, **kwargs)
     a = placed.assignment
     m_max = max_swap_bound(ig, a)
-    runs = {"eps_iso": eps_iso, "eps_imp": eps_imp, "stall_budget": stall_budget}
     if beta is not None:
-        m, trace = swap_uncomplexity(ig, a, beta, **runs)
+        m, trace = swap_uncomplexity(ig, a, beta, stall_budget=stall_budget)
         return BoundReport(m, beta, m_max, placed.ged, a, trace, trace.stalled, placed.method)
-    sweep, trace = _sweep(ig, a, grid, **runs)
+    sweep, trace = _sweep(ig, a, None, stall_budget)
     return BoundReport(
         sweep.m_star,
         sweep.beta_star,

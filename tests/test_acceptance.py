@@ -19,7 +19,6 @@ from swapbound.assignment import (
     vf2_embed,
 )
 from swapbound.bench import RunConfig, bench_summary, beta_histogram, load_manifest, run_manifest
-from swapbound.channels import birkhoff_decompose
 from swapbound.circuits import Circuit, interaction_graph, parse_circuit_json, parse_device
 from swapbound.graphs import Graph, canonical_form, induced_subgraph
 from swapbound.oracle import brute_force_min_swaps
@@ -264,42 +263,20 @@ def test_acceptance_6_oracle_cross_validation():
 
 
 # -------------------------------------------------------------------------
-# 7. Birkhoff decomposition on random doubly stochastic matrices
-# -------------------------------------------------------------------------
-
-def test_acceptance_7_birkhoff():
-    rng = np.random.default_rng(717171)
-    for _ in range(500):
-        n = int(rng.integers(2, 9))
-        k = int(rng.integers(1, 2 * n + 1))
-        weights = rng.random(k)
-        weights /= weights.sum()
-        d = np.zeros((n, n))
-        for w in weights:
-            perm = rng.permutation(n)
-            d[np.arange(n), perm] += w
-        result = birkhoff_decompose(d)
-        assert np.abs(result.reconstruct() - d).max() <= 1e-9
-        assert abs(result.weight_sum() - 1.0) <= 1e-10
-        assert len(result.terms) <= (n - 1) ** 2 + 1
-    report("ACCEPTANCE 7 Birkhoff decomposition (500 matrices): PASS")
-
-
-# -------------------------------------------------------------------------
 # 8. Winning-beta distribution report on the bundled manifest
 # -------------------------------------------------------------------------
 
 def test_acceptance_8_beta_distribution_report():
-    cfg = RunConfig()
-    rows = run_manifest(load_manifest(FIXTURES / "manifest.json"), cfg)
+    grid = standard_beta_grid()
+    rows = run_manifest(load_manifest(FIXTURES / "manifest.json"), RunConfig())
     assert all(not r.error for r in rows)
-    hist = beta_histogram(rows, cfg.grid)
+    hist = beta_histogram(rows, grid)
     assert sum(c for _, c in hist) == len(rows)
     non_iso = [r for r in rows if r.ged and r.ged > 0]
     assert non_iso, "manifest must exercise non-isomorphic pairs"
     for r in non_iso:
         assert 1e-5 <= r.beta_star <= 1e5
-    summary = bench_summary(rows, cfg.grid)
+    summary = bench_summary(rows, grid)
     assert summary["sandwich_violations"] == []
     report(
         "ACCEPTANCE 8 beta distribution: PASS "

@@ -1,17 +1,15 @@
+"""Edge erasure: the measurement that removes one executed interaction.
+
+The descent realizes it as ``Graph.remove_edge`` (``remove_edges`` for a
+round of erasures) and re-derives the Gibbs state from the smaller graph.
+"""
+
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from swapbound.assignment import Assignment
-from swapbound.channels import (
-    BirkhoffDecomposition,
-    apply_transposition,
-    birkhoff_decompose,
-    erase_edge,
-    max_weight_term,
-)
 from swapbound.errors import ValidationError
 from swapbound.graphs import Graph
 from swapbound.spectral import graph_gibbs, von_neumann_entropy
@@ -20,12 +18,12 @@ from conftest import all_graphs, complete_graph, path_graph
 
 
 def test_erase_edge_triangle_to_path():
-    g = erase_edge(complete_graph(3), (0, 1))
+    g = complete_graph(3).remove_edge(0, 1)
     assert g.edge_list == ((0, 2), (1, 2))
 
 
 def test_erase_edge_to_maximally_mixed():
-    g = erase_edge(path_graph(2), (0, 1))
+    g = path_graph(2).remove_edge(0, 1)
     assert g.num_edges() == 0
     rho = graph_gibbs(g, 0.7)
     assert np.allclose(rho.entries, np.eye(2) / 2)
@@ -33,7 +31,7 @@ def test_erase_edge_to_maximally_mixed():
 
 def test_erase_absent_edge_raises():
     with pytest.raises(ValidationError):
-        erase_edge(path_graph(3), (0, 2))
+        path_graph(3).remove_edge(0, 2)
 
 
 def test_erasing_everything_in_any_order_reaches_identity():
@@ -41,8 +39,9 @@ def test_erasing_everything_in_any_order_reaches_identity():
     for order in itertools.permutations(g.edge_list):
         cur = g
         for e in order:
-            cur = erase_edge(cur, e)
+            cur = cur.remove_edge(*e)
         assert cur.num_edges() == 0
+        assert g.remove_edges(order) == cur
     rho = graph_gibbs(Graph(4), 3.0)
     assert np.allclose(rho.entries, np.eye(4) / 4)
 
@@ -50,7 +49,7 @@ def test_erasing_everything_in_any_order_reaches_identity():
 def test_erase_strictly_decreases_edges():
     g = complete_graph(4)
     for e in g.edge_list:
-        assert erase_edge(g, e).num_edges() == g.num_edges() - 1
+        assert g.remove_edge(*e).num_edges() == g.num_edges() - 1
 
 
 @pytest.mark.xfail(
@@ -67,7 +66,7 @@ def test_entropy_never_decreases_under_erasure_as_stated():
     for n in range(2, 6):
         for g in all_graphs(n):
             for e in g.edge_list:
-                erased = erase_edge(g, e)
+                erased = g.remove_edge(*e)
                 for beta in betas:
                     before = von_neumann_entropy(graph_gibbs(g, beta))
                     after = von_neumann_entropy(graph_gibbs(erased, beta))
@@ -77,7 +76,7 @@ def test_entropy_never_decreases_under_erasure_as_stated():
 def test_entropy_erasure_counterexample_and_large_beta_behavior():
     # Counterexample: triangle {0,1,2} plus isolated edge (3,4) at beta=0.1.
     g = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
-    erased = erase_edge(g, (3, 4))
+    erased = g.remove_edge(3, 4)
     before = von_neumann_entropy(graph_gibbs(g, 0.1))
     after = von_neumann_entropy(graph_gibbs(erased, 0.1))
     assert after < before - 1e-6  # entropy drops: the stated invariant fails
@@ -89,102 +88,3 @@ def test_entropy_erasure_counterexample_and_large_beta_behavior():
     assert von_neumann_entropy(graph_gibbs(Graph(5), 0.1)) == pytest.approx(
         math.log(5), abs=1e-12
     )
-
-
-def _p4_assignment(mapping=(0, 1, 2, 3)) -> Assignment:
-    return Assignment.build(path_graph(4), mapping)
-
-
-def test_apply_transposition_swaps_two_logicals():
-    a = apply_transposition(_p4_assignment(), (1, 2))
-    assert a.ig_to_cg == (0, 2, 1, 3)
-
-
-def test_apply_transposition_is_involution():
-    a0 = _p4_assignment((2, 0, 3, 1))
-    a1 = apply_transposition(a0, (0, 1))
-    assert a1 != a0
-    assert apply_transposition(a1, (0, 1)) == a0
-
-
-def test_apply_transposition_requires_subgraph_edge():
-    with pytest.raises(ValidationError):
-        apply_transposition(_p4_assignment(), (0, 3))
-
-
-def test_apply_transposition_preserves_structure():
-    a0 = _p4_assignment((3, 1, 0, 2))
-    a1 = apply_transposition(a0, (2, 3))
-    assert sorted(a1.ig_to_cg) == sorted(a0.ig_to_cg)
-    assert a1.cg_subgraph == a0.cg_subgraph
-    assert a1.cg_subgraph_nodes == a0.cg_subgraph_nodes
-
-
-def test_birkhoff_identity():
-    d = birkhoff_decompose(np.eye(4))
-    assert len(d.terms) == 1
-    theta, perm = d.terms[0]
-    assert theta == pytest.approx(1.0, abs=1e-12)
-    assert perm == (0, 1, 2, 3)
-
-
-def test_birkhoff_half_half():
-    d = birkhoff_decompose(np.array([[0.5, 0.5], [0.5, 0.5]]))
-    assert sorted(p for _, p in d.terms) == [(0, 1), (1, 0)]
-    assert all(t == pytest.approx(0.5, abs=1e-12) for t, _ in d.terms)
-
-
-def test_birkhoff_circulant_yields_cyclic_terms():
-    # circ(0.2, 0.3, 0.5): the only 3-term decomposition is the cyclic shifts
-    d = birkhoff_decompose(
-        np.array([[0.2, 0.3, 0.5], [0.5, 0.2, 0.3], [0.3, 0.5, 0.2]])
-    )
-    assert len(d.terms) == 3
-    shifts = {(0, 1, 2): None, (1, 2, 0): None, (2, 0, 1): None}
-    weights = {perm: theta for theta, perm in d.terms}
-    assert set(weights) == set(shifts)
-    assert weights[(0, 1, 2)] == pytest.approx(0.2, abs=1e-12)
-    assert weights[(1, 2, 0)] == pytest.approx(0.3, abs=1e-12)
-    assert weights[(2, 0, 1)] == pytest.approx(0.5, abs=1e-12)
-
-
-def test_birkhoff_properties_on_random_mixtures():
-    rng = np.random.default_rng(61)
-    for _ in range(100):
-        n = int(rng.integers(2, 9))
-        k = int(rng.integers(1, 2 * n))
-        weights = rng.random(k)
-        weights /= weights.sum()
-        d = np.zeros((n, n))
-        for w in weights:
-            perm = rng.permutation(n)
-            d[np.arange(n), perm] += w
-        result = birkhoff_decompose(d)
-        assert abs(result.weight_sum() - 1.0) <= 1e-10
-        assert np.abs(result.reconstruct() - d).max() <= 1e-9
-        assert len(result.terms) <= (n - 1) ** 2 + 1
-        assert all(t > 0 for t, _ in result.terms)
-
-
-def test_birkhoff_rejects_non_stochastic():
-    with pytest.raises(ValidationError):
-        birkhoff_decompose(np.array([[0.9, 0.2], [0.1, 0.8]]))
-    with pytest.raises(ValidationError):
-        birkhoff_decompose(np.array([[1.2, -0.2], [-0.2, 1.2]]))
-
-
-def test_max_weight_term_tiebreak():
-    d = BirkhoffDecomposition(((0.5, (1, 0)), (0.5, (0, 1))))
-    theta, perm = max_weight_term(d)
-    assert theta == 0.5
-    assert perm == (0, 1)  # lexicographically smallest image wins the tie
-
-
-def test_max_weight_term_single_and_circulant():
-    assert max_weight_term(BirkhoffDecomposition(((1.0, (0, 1)),))) == (1.0, (0, 1))
-    d = birkhoff_decompose(
-        np.array([[0.2, 0.3, 0.5], [0.5, 0.2, 0.3], [0.3, 0.5, 0.2]])
-    )
-    theta, perm = max_weight_term(d)
-    assert theta == pytest.approx(0.5, abs=1e-12)
-    assert perm == (2, 0, 1)

@@ -6,6 +6,7 @@ import pytest
 
 from swapbound.bench import (
     RunConfig,
+    bench_summary,
     beta_histogram,
     load_manifest,
     pearson,
@@ -14,8 +15,10 @@ from swapbound.bench import (
 )
 from swapbound.cli import main
 from swapbound.errors import ValidationError
+from swapbound.uncomplexity import standard_beta_grid
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "swapbound" / "fixtures"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "src" / "swapbound" / "schemas" / "report_schema.json").read_text()
 )
@@ -213,7 +216,6 @@ def test_bench_runs_manifest(tmp_path, capsys):
         "bench",
         str(FIXTURES / "manifest.json"),
         "--out", str(outdir),
-        "--jobs", "2",
     )
     assert code == 0
     lines = out.strip().split("\n")
@@ -271,11 +273,11 @@ def test_pearson_anticorrelated():
 
 def test_run_config_validation():
     with pytest.raises(ValidationError):
-        RunConfig(eps_iso=0.0)
+        RunConfig(stall_budget=-1)
+    with pytest.raises(ValidationError):
+        RunConfig(class_budget=0)
     with pytest.raises(ValidationError):
         RunConfig(output_format="yaml")
-    with pytest.raises(ValidationError):
-        RunConfig(grid=(2.0, 1.0))
 
 
 def test_bench_normalized_columns_sum_to_one():
@@ -291,7 +293,66 @@ def test_bench_normalized_columns_sum_to_one():
 
 def test_histogram_counts_rows():
     pairs = load_manifest(FIXTURES / "manifest.json")[:4]
-    cfg = RunConfig()
-    rows = run_manifest(pairs, cfg)
-    hist = beta_histogram(rows, cfg.grid)
+    rows = run_manifest(pairs, RunConfig())
+    hist = beta_histogram(rows, standard_beta_grid())
     assert sum(c for _, c in hist) == len([r for r in rows if r.beta_star is not None])
+
+
+def _blank_timings(csv_text: str) -> str:
+    lines = csv_text.split("\n")
+    timed = [i for i, name in enumerate(lines[0].split(",")) if name.endswith("_ms")]
+    out = [lines[0]]
+    for line in lines[1:]:
+        cells = line.split(",")
+        if len(cells) > 1:
+            for i in timed:
+                cells[i] = ""
+        out.append(",".join(cells))
+    return "\n".join(out)
+
+
+def test_bench_artifacts_match_golden(tmp_path, capsys):
+    # a fresh run must reproduce the recorded artifacts; the *_ms columns are
+    # wall-clock times, blanked in the recording
+    code, _, _ = run_cli(
+        capsys, "bench", str(FIXTURES / "manifest.json"), "--out", str(tmp_path)
+    )
+    assert code == 0
+    rows = (tmp_path / "bench_rows.csv").read_text()
+    assert _blank_timings(rows) == (GOLDEN / "bench_rows.csv").read_text()
+    for name in ("bench_correlation.csv", "bench_beta_histogram.csv", "bench_summary.json"):
+        assert (tmp_path / name).read_text() == (GOLDEN / name).read_text(), name
+
+
+def test_sandwich_violations_only_flag_relations_that_hold(tmp_path):
+    # the descent needs 3 swaps where the optimum needs 2: u_swap > oracle is
+    # legitimate, so the pair must not be reported as a violation
+    (tmp_path / "c.json").write_text(
+        json.dumps({"qubits": 5, "gates": [[0, 2], [0, 3], [0, 4], [1, 2], [1, 3], [1, 4], [2, 4]]})
+    )
+    (tmp_path / "d.json").write_text(
+        json.dumps(
+            {"num_qubits": 7, "edges": [[0, 4], [0, 6], [1, 2], [1, 4], [1, 5], [3, 5], [4, 6]]}
+        )
+    )
+    (tmp_path / "m.json").write_text(
+        json.dumps({"pairs": [{"circuit": "c.json", "device": "d.json"}]})
+    )
+    rows = run_manifest(load_manifest(tmp_path / "m.json"), RunConfig())
+    assert (rows[0].u_swap, rows[0].oracle) == (3, 2)
+    summary = bench_summary(rows, standard_beta_grid())
+    assert summary["sandwich_violations"] == []
+
+
+def test_sandwich_violations_flag_oracle_above_a_bound():
+    rows = run_manifest(load_manifest(FIXTURES / "manifest.json")[:3], RunConfig())
+    rows[2].oracle = rows[2].m_swap_max + 1  # an optimum no feasible schedule allows
+    summary = bench_summary(rows, standard_beta_grid())
+    assert summary["sandwich_violations"] == [(rows[2].benchmark, rows[2].device)]
+
+
+def test_usage_errors_exit_input(capsys):
+    assert main(["bench", "m.json", "--jobs", "2"]) == 1
+    assert main(["bound"]) == 1
+    assert main(["--help"]) == 0
+    assert "usage:" in capsys.readouterr().out

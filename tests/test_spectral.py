@@ -9,7 +9,6 @@ from swapbound.graphs import Graph
 from swapbound.spectral import (
     DensityMatrix,
     entropy_curve,
-    fidelity,
     gibbs_state,
     graph_gibbs,
     laplacian,
@@ -233,28 +232,6 @@ def test_sqrt_qjsd_triangle_inequality():
         assert dab + dac >= dbc - 1e-9
         assert dab + dbc >= dac - 1e-9
         assert dac + dbc >= dab - 1e-9
-
-
-def test_fidelity_self_orthogonal_and_commuting():
-    rng = np.random.default_rng(47)
-    rho = dm(random_density(rng, 4))
-    assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-10)
-    assert fidelity(dm(np.diag([1.0, 0.0])), dm(np.diag([0.0, 1.0]))) == 0.0
-    # commuting closed form (sum sqrt(p_i q_i))^2
-    expected = (math.sqrt(0.5 * 0.75) + math.sqrt(0.5 * 0.25)) ** 2
-    got = fidelity(dm(np.eye(2) / 2), dm(np.diag([0.75, 0.25])))
-    assert got == pytest.approx(expected, abs=1e-12)
-    assert expected == pytest.approx(0.93301, abs=5e-6)
-
-
-def test_fidelity_symmetric():
-    rng = np.random.default_rng(53)
-    for _ in range(50):
-        d = int(rng.integers(2, 7))
-        a = dm(random_density(rng, d))
-        b = dm(random_density(rng, d))
-        assert fidelity(a, b) == pytest.approx(fidelity(b, a), abs=1e-10)
-        assert 0.0 <= fidelity(a, b) <= 1.0
 
 
 def test_entropy_curve_endpoints():

@@ -127,7 +127,7 @@ def test_swap_uncomplexity_k4_on_p4_bounded_by_oracle():
 
 
 def test_early_zero_requires_edge_set_equality_not_just_divergence():
-    # At beta tiny the divergence of distinct graphs drops below eps_iso,
+    # At beta tiny the divergence of distinct graphs drops below EPS_ISO,
     # but the graph-level equality check must keep the loop honest.
     ig = ig_of(star_graph(4))
     a = Assignment.build(path_graph(4), (1, 0, 2, 3))
@@ -180,8 +180,6 @@ def test_termination_iteration_budget():
 
 def test_trace_divergences_match_public_route():
     # replay the engine's trace through the public single-shot operations
-    from swapbound.channels import apply_transposition
-
     rng = np.random.default_rng(131)
     replayed = 0
     for _ in range(30):
@@ -197,7 +195,12 @@ def test_trace_divergences_match_public_route():
             if isinstance(step, SwapStep):
                 expected = aligned_qjsd(remaining, current, beta)
                 assert step.qjsd_before == pytest.approx(expected, abs=1e-10)
-                current = apply_transposition(current, step.edge)
+                # exchange the IG vertices sitting on the swapped subgraph edge
+                ig_to_cg = list(current.ig_to_cg)
+                pos = current.positions()
+                u, v = pos.index(step.edge[0]), pos.index(step.edge[1])
+                ig_to_cg[u], ig_to_cg[v] = ig_to_cg[v], ig_to_cg[u]
+                current = Assignment.build(cg, ig_to_cg)
                 assert step.qjsd_after == pytest.approx(
                     aligned_qjsd(remaining, current, beta), abs=1e-10
                 )
