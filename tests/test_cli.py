@@ -136,6 +136,28 @@ def test_oracle_guard_exit_three(tmp_path, capsys):
     assert "guarded" in err
 
 
+@pytest.mark.parametrize(
+    "extra, scope",
+    [((), "pipeline-assignment"), (("--all-assignments",), "all-assignments")],
+)
+def test_oracle_json_both_scopes(tmp_path, capsys, extra, scope):
+    # the hub on node 1 reaches nodes 0 and 2; one swap fetches leaf 3
+    device = {"name": "path4", "num_qubits": 4, "edges": [[0, 1], [1, 2], [2, 3]]}
+    dpath = tmp_path / "path4.json"
+    dpath.write_text(json.dumps(device))
+    code, out, _ = run_cli(
+        capsys, "oracle", "--circuit", str(FIXTURES / "star4.json"), "--device", str(dpath), *extra
+    )
+    assert code == 0
+    assert json.loads(out) == {
+        "circuit": "star4",
+        "device": "path4",
+        "min_swaps": 1,
+        "ig_to_cg": [1, 0, 2, 3],
+        "scope": scope,
+    }
+
+
 def test_bound_stall_exit_two(capsys):
     # ultra-high temperature with no stall budget cannot make progress on a
     # non-matching pair: the run must flag the stall through the exit code

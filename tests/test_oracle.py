@@ -1,15 +1,23 @@
 import itertools
+from collections import deque
 
 import numpy as np
 import pytest
 
-from swapbound.assignment import Assignment
+from swapbound.assignment import Assignment, assign_qubits, pending_interactions
+from swapbound.circuits import Circuit, interaction_graph
 from swapbound.errors import SizeGuardError
-from swapbound.graphs import Graph, normalize_edge, relabel
-from swapbound.oracle import brute_force_min_swaps, brute_force_over_assignments
+from swapbound.graphs import Edge, Graph, normalize_edge, relabel
+from swapbound.oracle import _min_swaps, brute_force_min_swaps, brute_force_over_assignments
 from swapbound.uncomplexity import remove_trivial_edges
 
-from conftest import complete_graph, path_graph, random_connected_graph, star_graph
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    random_connected_graph,
+    star_graph,
+)
 
 
 def solvable_within(ig: Graph, a: Assignment, depth: int) -> bool:
@@ -133,3 +141,67 @@ def test_monotone_in_interaction_edges():
         extra = missing[int(rng.integers(0, len(missing)))]
         grown = Graph(k, ig.edges | {extra})
         assert brute_force_min_swaps(grown, a) >= base
+
+
+def reference_min_swaps(
+    starts: list[tuple[int, ...]], remaining0: frozenset[Edge], sub: Graph
+) -> tuple[int, tuple[int, ...]]:
+    """The frozenset-state BFS the int-state oracle replaced, kept verbatim."""
+    sub_edges = sub.edges
+    queue: deque[tuple[tuple[int, ...], frozenset[Edge], int, int]] = deque()
+    visited = set()
+    for idx, pos in enumerate(starts):
+        closed = pending_interactions(remaining0, pos, sub_edges)
+        if not closed:
+            return 0, starts[idx]
+        state = (pos, closed)
+        if state not in visited:
+            visited.add(state)
+            queue.append((pos, closed, idx, 0))
+
+    while queue:
+        pos, remaining, idx, depth = queue.popleft()
+        for x, y in sub.edge_list:
+            new_pos = list(pos)
+            u = pos.index(x)
+            v = pos.index(y)
+            new_pos[u], new_pos[v] = y, x
+            npos = tuple(new_pos)
+            closed = pending_interactions(remaining, npos, sub_edges)
+            if not closed:
+                return depth + 1, starts[idx]
+            state = (npos, closed)
+            if state not in visited:
+                visited.add(state)
+                queue.append((npos, closed, idx, depth + 1))
+    raise AssertionError("swap search exhausted without emptying the interaction set")
+
+
+def test_int_state_bfs_matches_frozenset_reference():
+    # Same count and same winning start, for one start and for all k!
+    # starts (as brute_force_over_assignments passes them): pins the
+    # tie-break, not only the optimum.
+    rng = np.random.default_rng(109)
+    for k in range(2, 7):
+        every = list(itertools.permutations(range(k)))
+        for _ in range(12):
+            ig = random_connected_graph(rng, k, float(rng.uniform(0.1, 0.9)))
+            sub = random_connected_graph(rng, k, float(rng.uniform(0.0, 0.5)))
+            remaining0 = frozenset(ig.edges)
+            one = [tuple(int(x) for x in rng.permutation(k))]
+            for starts in (one, every):
+                assert _min_swaps(starts, remaining0, sub) == reference_min_swaps(
+                    starts, remaining0, sub
+                )
+
+
+@pytest.mark.parametrize(
+    "k, device, expected",
+    [(6, path_graph(6), 10), (6, cycle_graph(6), 5), (7, cycle_graph(7), 9)],
+    ids=["K6@path6", "K6@ring6", "K7@ring7"],
+)
+def test_dense_placement_oracle(k, device, expected):
+    ig = interaction_graph(Circuit(k, tuple(complete_graph(k).edge_list)))
+    placed = assign_qubits(ig, device)
+    assert placed.method == "dense"
+    assert brute_force_min_swaps(ig.graph, placed.assignment) == expected
