@@ -8,7 +8,12 @@ from swapbound.assignment import Assignment, assign_qubits, pending_interactions
 from swapbound.circuits import Circuit, interaction_graph
 from swapbound.errors import SizeGuardError
 from swapbound.graphs import Edge, Graph, normalize_edge, relabel
-from swapbound.oracle import _min_swaps, brute_force_min_swaps, brute_force_over_assignments
+from swapbound.oracle import (
+    _min_swaps,
+    _SwapFloor,
+    brute_force_min_swaps,
+    brute_force_over_assignments,
+)
 from swapbound.uncomplexity import remove_trivial_edges
 
 from conftest import (
@@ -195,10 +200,79 @@ def test_int_state_bfs_matches_frozenset_reference():
                 )
 
 
+def test_swap_floor_is_admissible_consistent_and_positive():
+    # The A* heuristic: never above the reference optimum at a start,
+    # drops by at most one per swap along every subgraph edge, and is at
+    # least one while anything is pending. Its gap >= 1 bits are exactly
+    # the routing model's blocked interactions.
+    rng = np.random.default_rng(113)
+    for k in range(2, 8):
+        for _ in range(8):
+            ig = random_connected_graph(rng, k, float(rng.uniform(0.1, 0.9)))
+            sub = random_connected_graph(rng, k, float(rng.uniform(0.0, 0.5)))
+            edges = sorted(ig.edges)
+            floor = _SwapFloor(edges, sub)
+
+            def blocked(pos):
+                still = pending_interactions(edges, pos, sub.edges)
+                return sum(1 << b for b, e in enumerate(edges) if e in still)
+
+            for _ in range(3):
+                pos = tuple(int(x) for x in rng.permutation(k))
+                pending = blocked(pos)
+                assert pending == sum(mask for _, mask in floor.layers(pos))
+                start_floor = floor(pending, floor.layers(pos))
+                count, _ = reference_min_swaps([pos], frozenset(edges), sub)
+                assert start_floor <= count
+                for _ in range(count + 2):
+                    h = floor(pending, floor.layers(pos))
+                    assert (h >= 1) == (pending != 0)
+                    moves = []
+                    for x, y in sub.edge_list:
+                        npos = list(pos)
+                        npos[pos.index(x)], npos[pos.index(y)] = y, x
+                        npos = tuple(npos)
+                        npending = pending & blocked(npos)
+                        assert h <= 1 + floor(npending, floor.layers(npos))
+                        moves.append((npos, npending))
+                    pos, pending = moves[int(rng.integers(0, len(moves)))]
+
+
+@pytest.mark.parametrize(
+    "edges, sub, expected",
+    [
+        ([(0, 4)], path_graph(5), 3),
+        (
+            [(0, 2), (1, 3), (4, 5)],
+            Graph.from_edges(6, [(0, 4), (1, 4), (1, 5), (2, 4), (3, 4)]),
+            2,
+        ),
+        (list(complete_graph(6).edge_list), cycle_graph(6), 5),
+    ],
+    ids=["largest-gap", "gap-sum", "pending-count"],
+)
+def test_swap_floor_terms_are_tight(edges, sub, expected):
+    # Each case is decided by one of the three counts alone, and that
+    # count equals the optimum from the identity placement: one gap of 3
+    # on a 5-path; three gaps of 1 that one swap (two tokens moved) can
+    # close at most two of; nine pending pairs of K6 on a 6-ring, where a
+    # swap makes at most two pairs newly adjacent.
+    floor = _SwapFloor(edges, sub)
+    pos = tuple(range(sub.n))
+    layers = floor.layers(pos)
+    start_floor = floor(sum(mask for _, mask in layers), layers)
+    assert start_floor == expected == _min_swaps([pos], frozenset(edges), sub)[0]
+
+
 @pytest.mark.parametrize(
     "k, device, expected",
-    [(6, path_graph(6), 10), (6, cycle_graph(6), 5), (7, cycle_graph(7), 9)],
-    ids=["K6@path6", "K6@ring6", "K7@ring7"],
+    [
+        (6, path_graph(6), 10),
+        (6, cycle_graph(6), 5),
+        (7, cycle_graph(7), 9),
+        (8, cycle_graph(8), 13),
+    ],
+    ids=["K6@path6", "K6@ring6", "K7@ring7", "K8@ring8"],
 )
 def test_dense_placement_oracle(k, device, expected):
     ig = interaction_graph(Circuit(k, tuple(complete_graph(k).edge_list)))
