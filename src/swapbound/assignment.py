@@ -325,6 +325,8 @@ def assign_qubits(
     use the greedy dense shortcut instead; its reported GED is exact for
     complete IGs and an upper bound otherwise.
     """
+    if class_budget < 1:
+        raise ValidationError("class_budget must be >= 1")
     k = ig.graph.n
     if k > cg.n:
         raise ValidationError(f"circuit needs {k} qubits but device has {cg.n}")

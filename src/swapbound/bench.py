@@ -11,33 +11,15 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
-from .assignment import DEFAULT_CLASS_BUDGET, assign_qubits, max_swap_bound
 from .circuits import interaction_graph, parse_circuit_json, parse_circuit_qasm_subset, parse_device
 from .errors import ParseError, SwapBoundError, SweepError, ValidationError
 from .oracle import ORACLE_MAX_VERTICES, brute_force_min_swaps
-from .uncomplexity import beta_sweep
+from .uncomplexity import compute_bound
 
 HIGH_TEMP_MAX = 1e-3  # upper edge of the high-temperature band reported on
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated knobs shared by the CLI commands."""
-
-    stall_budget: int | None = None
-    class_budget: int = DEFAULT_CLASS_BUDGET
-    output_format: str = "json"
-
-    def __post_init__(self):
-        if self.stall_budget is not None and self.stall_budget < 0:
-            raise ValidationError("stall_budget must be >= 0")
-        if self.class_budget < 1:
-            raise ValidationError("class_budget must be >= 1")
-        if self.output_format not in ("json", "csv"):
-            raise ValidationError(f"unknown output format {self.output_format!r}")
 
 
 @dataclass
@@ -60,27 +42,8 @@ class BenchRow:
     error: str = ""
 
 
-BENCH_COLUMNS = [
-    "benchmark",
-    "device",
-    "ig_nodes",
-    "ig_edges",
-    "gate_count",
-    "ged",
-    "u_swap",
-    "beta_star",
-    "m_swap_max",
-    "oracle",
-    "assign_ms",
-    "sweep_ms",
-    "oracle_ms",
-    "stalled",
-    "method",
-    "error",
-    "u_swap_norm",
-    "m_swap_max_norm",
-    "oracle_norm",
-]
+BENCH_COLUMNS = [f.name for f in fields(BenchRow)]
+BENCH_COLUMNS += ["u_swap_norm", "m_swap_max_norm", "oracle_norm"]  # sum-normalized, from rows_to_csv
 
 
 def fmt_float(x: float) -> str:
@@ -127,7 +90,7 @@ def load_manifest(path: Path) -> list[tuple[Path, Path]]:
     return pairs
 
 
-def run_pair(circuit_path: Path, device_path: Path, config: RunConfig) -> BenchRow:
+def run_pair(circuit_path: Path, device_path: Path) -> BenchRow:
     row = BenchRow(benchmark=circuit_path.stem, device=device_path.stem)
     try:
         circuit = read_circuit_file(circuit_path)
@@ -139,23 +102,18 @@ def run_pair(circuit_path: Path, device_path: Path, config: RunConfig) -> BenchR
         row.ig_edges = ig.graph.num_edges()
         row.gate_count = ig.gate_count()
 
-        t0 = time.perf_counter()
-        placed = assign_qubits(ig, device.coupling, class_budget=config.class_budget)
-        row.assign_ms = (time.perf_counter() - t0) * 1000
-        row.ged = placed.ged
-        row.method = placed.method
-        a = placed.assignment
-        row.m_swap_max = max_swap_bound(ig, a)
-
-        t0 = time.perf_counter()
-        sweep = beta_sweep(ig, a, stall_budget=config.stall_budget)
-        row.sweep_ms = (time.perf_counter() - t0) * 1000
-        row.u_swap = sweep.m_star
-        row.beta_star = sweep.beta_star
+        report = compute_bound(ig, device.coupling)
+        row.ged = report.ged
+        row.method = report.method
+        row.m_swap_max = report.m_swap_max
+        row.u_swap = report.u_swap
+        row.beta_star = report.beta_star
+        row.assign_ms = report.assign_ms
+        row.sweep_ms = report.sweep_ms
 
         if ig.graph.n <= ORACLE_MAX_VERTICES:
             t0 = time.perf_counter()
-            row.oracle = brute_force_min_swaps(ig.graph, a)
+            row.oracle = brute_force_min_swaps(ig.graph, report.assignment)
             row.oracle_ms = (time.perf_counter() - t0) * 1000
     except (SwapBoundError, OSError) as exc:
         row.error = str(exc)
@@ -163,8 +121,8 @@ def run_pair(circuit_path: Path, device_path: Path, config: RunConfig) -> BenchR
     return row
 
 
-def run_manifest(pairs: list[tuple[Path, Path]], config: RunConfig) -> list[BenchRow]:
-    return [run_pair(c, d, config) for c, d in pairs]
+def run_manifest(pairs: list[tuple[Path, Path]]) -> list[BenchRow]:
+    return [run_pair(c, d) for c, d in pairs]
 
 
 def _normalize(values: list[float | None]) -> list[float | None]:
@@ -186,27 +144,7 @@ def rows_to_csv(rows: list[BenchRow]) -> str:
     o_norm = _normalize([r.oracle for r in rows])
     lines = [",".join(BENCH_COLUMNS)]
     for r, un, mn, on in zip(rows, u_norm, m_norm, o_norm):
-        cells = [
-            r.benchmark,
-            r.device,
-            r.ig_nodes,
-            r.ig_edges,
-            r.gate_count,
-            r.ged,
-            r.u_swap,
-            r.beta_star,
-            r.m_swap_max,
-            r.oracle,
-            r.assign_ms,
-            r.sweep_ms,
-            r.oracle_ms,
-            r.stalled,
-            r.method,
-            r.error,
-            un,
-            mn,
-            on,
-        ]
+        cells = astuple(r) + (un, mn, on)
         lines.append(",".join(format_cell(c) for c in cells))
     return "\n".join(lines) + "\n"
 

@@ -9,11 +9,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .bench import (
-    RunConfig,
     bench_summary,
     beta_histogram,
     correlation_csv,
@@ -25,7 +23,7 @@ from .bench import (
     rows_to_csv,
     run_manifest,
 )
-from .assignment import assign_qubits, max_swap_bound
+from .assignment import DEFAULT_CLASS_BUDGET, assign_qubits, max_swap_bound
 from .circuits import interaction_graph
 from .errors import SizeGuardError, SwapBoundError, SweepError
 from .oracle import brute_force_min_swaps, brute_force_over_assignments
@@ -36,7 +34,6 @@ from .uncomplexity import (
     EraseStep,
     StallStep,
     SwapStep,
-    beta_sweep,
     compute_bound,
     standard_beta_grid,
 )
@@ -112,28 +109,16 @@ def _load_pair(args):
     return circuit, device, ig
 
 
-def _config_from(args) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "stall_budget", None) is not None:
-        cfg = replace(cfg, stall_budget=args.stall_budget)
-    if getattr(args, "class_budget", None) is not None:
-        cfg = replace(cfg, class_budget=args.class_budget)
-    if getattr(args, "format", None):
-        cfg = replace(cfg, output_format=args.format)
-    return cfg
-
-
 def cmd_bound(args) -> int:
     circuit, device, ig = _load_pair(args)
-    cfg = _config_from(args)
     report = compute_bound(
         ig,
         device.coupling,
         beta=args.beta,
-        class_budget=cfg.class_budget,
-        stall_budget=cfg.stall_budget,
+        class_budget=args.class_budget,
+        stall_budget=args.stall_budget,
     )
-    if cfg.output_format == "csv":
+    if args.format == "csv":
         sys.stdout.write(report_to_csv(report, circuit.name, device.name))
     else:
         json.dump(report_to_json(report, circuit.name, device.name), sys.stdout, indent=2)
@@ -143,8 +128,7 @@ def cmd_bound(args) -> int:
 
 def cmd_assign(args) -> int:
     circuit, device, ig = _load_pair(args)
-    cfg = _config_from(args)
-    placed = assign_qubits(ig, device.coupling, class_budget=cfg.class_budget)
+    placed = assign_qubits(ig, device.coupling, class_budget=args.class_budget)
     a = placed.assignment
     doc = {
         "circuit": circuit.name,
@@ -156,7 +140,7 @@ def cmd_assign(args) -> int:
         "cg_subgraph_edges": [list(e) for e in a.cg_subgraph.edge_list],
         "m_swap_max": max_swap_bound(ig, a),
     }
-    if cfg.output_format == "csv":
+    if args.format == "csv":
         sys.stdout.write("circuit,device,ged,method,m_swap_max\n")
         sys.stdout.write(
             f"{circuit.name},{device.name},{placed.ged},{placed.method},{doc['m_swap_max']}\n"
@@ -169,7 +153,6 @@ def cmd_assign(args) -> int:
 
 def cmd_oracle(args) -> int:
     circuit, device, ig = _load_pair(args)
-    cfg = _config_from(args)
     if args.all_assignments:
         count, assignment = brute_force_over_assignments(ig.graph, device.coupling)
         doc = {
@@ -180,7 +163,7 @@ def cmd_oracle(args) -> int:
             "scope": "all-assignments",
         }
     else:
-        placed = assign_qubits(ig, device.coupling, class_budget=cfg.class_budget)
+        placed = assign_qubits(ig, device.coupling)
         count = brute_force_min_swaps(ig.graph, placed.assignment)
         doc = {
             "circuit": circuit.name,
@@ -196,11 +179,9 @@ def cmd_oracle(args) -> int:
 
 def cmd_sweep(args) -> int:
     circuit, device, ig = _load_pair(args)
-    cfg = _config_from(args)
-    placed = assign_qubits(ig, device.coupling, class_budget=cfg.class_budget)
-    sweep = beta_sweep(ig, placed.assignment, stall_budget=cfg.stall_budget)
+    report = compute_bound(ig, device.coupling, stall_budget=args.stall_budget)
     sys.stdout.write("beta,m,stalled\n")
-    for b, m, stalled in sweep.per_beta:
+    for b, m, stalled in report.per_beta:
         sys.stdout.write(f"{fmt_float(b)},{m},{'true' if stalled else 'false'}\n")
     return EXIT_OK
 
@@ -219,9 +200,8 @@ def cmd_curve(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = _config_from(args)
     pairs = load_manifest(Path(args.manifest))
-    rows = run_manifest(pairs, cfg)
+    rows = run_manifest(pairs)
     csv_text = rows_to_csv(rows)
     sys.stdout.write(csv_text)
     grid = standard_beta_grid()
@@ -261,14 +241,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--sweep", action="store_true", help="sweep the standard grid (default)"
     )
     p_bound.add_argument("--format", choices=["json", "csv"], default="json")
-    p_bound.add_argument("--stall-budget", type=int, dest="stall_budget")
-    p_bound.add_argument("--class-budget", type=int, dest="class_budget")
+    p_bound.add_argument("--stall-budget", type=int)
+    p_bound.add_argument("--class-budget", type=int, default=DEFAULT_CLASS_BUDGET)
     p_bound.set_defaults(func=cmd_bound)
 
     p_assign = sub.add_parser("assign", help="qubit assignment and edit distance")
     add_pair(p_assign)
     p_assign.add_argument("--format", choices=["json", "csv"], default="json")
-    p_assign.add_argument("--class-budget", type=int, dest="class_budget")
+    p_assign.add_argument("--class-budget", type=int, default=DEFAULT_CLASS_BUDGET)
     p_assign.set_defaults(func=cmd_assign)
 
     p_oracle = sub.add_parser("oracle", help="exact brute-force optimum (size-guarded)")
@@ -282,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="per-beta swap counts as CSV")
     add_pair(p_sweep)
-    p_sweep.add_argument("--stall-budget", type=int, dest="stall_budget")
+    p_sweep.add_argument("--stall-budget", type=int)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_curve = sub.add_parser("curve", help="entropy as a function of beta, CSV")

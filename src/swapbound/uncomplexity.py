@@ -15,15 +15,22 @@ that exhaust it are flagged rather than aborted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
 
-from .assignment import Assignment, assign_qubits, max_swap_bound, pending_interactions
+from .assignment import (
+    DEFAULT_CLASS_BUDGET,
+    Assignment,
+    assign_qubits,
+    max_swap_bound,
+    pending_interactions,
+)
 from .circuits import InteractionGraph
 from .errors import SweepError, ValidationError
-from .graphs import Edge, Graph, normalize_edge, relabel
+from .graphs import Edge, Graph, relabel
 from .spectral import (
     check_beta,
     entropy_of_probs,
@@ -33,7 +40,6 @@ from .spectral import (
     qjsd,
 )
 
-EPS_ISO = 1e-10  # divergence threshold for "states are equal"
 EPS_IMP = 1e-12  # strict-improvement margin per applied swap
 
 
@@ -101,6 +107,9 @@ class BoundReport:
     stalled: bool
     method: str
     per_beta: tuple[tuple[float, int, bool], ...] | None = None
+    # wall-clock times, left out of equality so equal inputs give equal reports
+    assign_ms: float = field(default=0.0, compare=False)
+    sweep_ms: float = field(default=0.0, compare=False)
 
 
 def remove_trivial_edges(ig: Graph, a: Assignment) -> Graph:
@@ -183,11 +192,13 @@ def swap_uncomplexity(
 ) -> tuple[int, AlgoTrace]:
     """Swap count of the divergence descent at one inverse temperature.
 
-    Returns ``(m, trace)``. The early zero exit requires both the
-    divergence test and exact edge-set equality under the assignment, so
-    that the vanishing divergence of the ultra-high-temperature limit
-    cannot certify a vacuous bound on its own.
+    Returns ``(m, trace)``. A run that does not stall counts zero exactly
+    when every interaction already sits on a coupler; a vanishing
+    divergence alone, as in the ultra-high-temperature limit, never ends
+    the descent.
     """
+    if stall_budget is not None and stall_budget < 0:
+        raise ValidationError("stall_budget must be >= 0")
     beta = check_beta(beta)
     graph = ig.graph
     if graph.n != a.cg_subgraph.n:
@@ -195,12 +206,6 @@ def swap_uncomplexity(
     engine = _Engine(graph, a.cg_subgraph, beta)
     pos = list(a.positions())
     sub_edges = a.cg_subgraph.edges
-
-    mapped = {normalize_edge(pos[u], pos[v]) for u, v in graph.edges}
-    if mapped == set(sub_edges):
-        if engine.divergences(frozenset(graph.edges), [pos])[0] <= EPS_ISO:
-            return 0, AlgoTrace((), beta, 0, False, 0)
-
     remaining = pending_interactions(graph.edges, pos, sub_edges)
     steps: list[TraceStep] = []
     m = 0
@@ -236,8 +241,6 @@ def swap_uncomplexity(
             steps.append(SwapStep(engine.candidates[best_i], qjsd1, best_val))
             erase_now()
             continue
-        if not remaining:
-            break
         if erase_now():
             continue
         if budget <= 0:
@@ -259,6 +262,8 @@ def _sweep(
 ) -> tuple[SweepResult, AlgoTrace]:
     """The sweep and the trace of its winning run."""
     values = standard_beta_grid() if grid is None else validate_beta_grid(grid)
+    if stall_budget is None:
+        stall_budget = max_swap_bound(ig, a)
     per_beta: list[tuple[float, int, bool]] = []
     best: tuple[int, float, AlgoTrace] | None = None
     for b in values:
@@ -292,26 +297,28 @@ def compute_bound(
     cg: Graph,
     *,
     beta: float | None = None,
-    class_budget: int | None = None,
+    class_budget: int = DEFAULT_CLASS_BUDGET,
     stall_budget: int | None = None,
 ) -> BoundReport:
-    """Assignment, divergence bound (swept or at a fixed beta), max bound."""
-    kwargs = {} if class_budget is None else {"class_budget": class_budget}
-    placed = assign_qubits(ig, cg, **kwargs)
+    """The whole pipeline: assignment, max bound, then the divergence bound.
+
+    The divergence bound is swept over the standard grid, or taken at one
+    fixed ``beta``. A sweep in which every run stalls raises
+    :class:`SweepError`.
+    """
+    t0 = time.perf_counter()
+    placed = assign_qubits(ig, cg, class_budget=class_budget)
+    assign_ms = (time.perf_counter() - t0) * 1000
     a = placed.assignment
     m_max = max_swap_bound(ig, a)
-    if beta is not None:
+    t0 = time.perf_counter()
+    if beta is None:
+        sweep, trace = _sweep(ig, a, None, stall_budget)
+        m, beta, stalled, per_beta = sweep.m_star, sweep.beta_star, False, sweep.per_beta
+    else:
         m, trace = swap_uncomplexity(ig, a, beta, stall_budget=stall_budget)
-        return BoundReport(m, beta, m_max, placed.ged, a, trace, trace.stalled, placed.method)
-    sweep, trace = _sweep(ig, a, None, stall_budget)
+        stalled, per_beta = trace.stalled, None
+    sweep_ms = (time.perf_counter() - t0) * 1000
     return BoundReport(
-        sweep.m_star,
-        sweep.beta_star,
-        m_max,
-        placed.ged,
-        a,
-        trace,
-        False,
-        placed.method,
-        sweep.per_beta,
+        m, beta, m_max, placed.ged, a, trace, stalled, placed.method, per_beta, assign_ms, sweep_ms
     )

@@ -5,17 +5,18 @@ import jsonschema
 import pytest
 
 from swapbound.bench import (
-    RunConfig,
     bench_summary,
     beta_histogram,
     load_manifest,
     pearson,
+    read_circuit_file,
+    read_device_file,
     rows_to_csv,
     run_manifest,
 )
+from swapbound.circuits import interaction_graph
 from swapbound.cli import main
-from swapbound.errors import ValidationError
-from swapbound.uncomplexity import standard_beta_grid
+from swapbound.uncomplexity import compute_bound, standard_beta_grid
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "swapbound" / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -270,7 +271,6 @@ def test_bench_records_row_failures(tmp_path, capsys):
 
 def test_bench_rows_deterministic_modulo_timing():
     pairs = load_manifest(FIXTURES / "manifest.json")[:5]
-    cfg = RunConfig()
 
     def scrub(rows):
         out = []
@@ -280,8 +280,8 @@ def test_bench_rows_deterministic_modulo_timing():
             out.append(clone)
         return out
 
-    first = scrub(run_manifest(pairs, cfg))
-    second = scrub(run_manifest(pairs, cfg))
+    first = scrub(run_manifest(pairs))
+    second = scrub(run_manifest(pairs))
     assert first == second
 
 
@@ -293,18 +293,9 @@ def test_pearson_anticorrelated():
     assert pearson([1.0, 2.0, 3.0], [3.0, 2.0, 1.0]) == pytest.approx(-1.0, abs=1e-12)
 
 
-def test_run_config_validation():
-    with pytest.raises(ValidationError):
-        RunConfig(stall_budget=-1)
-    with pytest.raises(ValidationError):
-        RunConfig(class_budget=0)
-    with pytest.raises(ValidationError):
-        RunConfig(output_format="yaml")
-
-
 def test_bench_normalized_columns_sum_to_one():
     pairs = load_manifest(FIXTURES / "manifest.json")[:6]
-    rows = run_manifest(pairs, RunConfig())
+    rows = run_manifest(pairs)
     csv_text = rows_to_csv(rows)
     lines = csv_text.strip().split("\n")
     header = lines[0].split(",")
@@ -315,7 +306,7 @@ def test_bench_normalized_columns_sum_to_one():
 
 def test_histogram_counts_rows():
     pairs = load_manifest(FIXTURES / "manifest.json")[:4]
-    rows = run_manifest(pairs, RunConfig())
+    rows = run_manifest(pairs)
     hist = beta_histogram(rows, standard_beta_grid())
     assert sum(c for _, c in hist) == len([r for r in rows if r.beta_star is not None])
 
@@ -360,14 +351,14 @@ def test_sandwich_violations_only_flag_relations_that_hold(tmp_path):
     (tmp_path / "m.json").write_text(
         json.dumps({"pairs": [{"circuit": "c.json", "device": "d.json"}]})
     )
-    rows = run_manifest(load_manifest(tmp_path / "m.json"), RunConfig())
+    rows = run_manifest(load_manifest(tmp_path / "m.json"))
     assert (rows[0].u_swap, rows[0].oracle) == (3, 2)
     summary = bench_summary(rows, standard_beta_grid())
     assert summary["sandwich_violations"] == []
 
 
 def test_sandwich_violations_flag_oracle_above_a_bound():
-    rows = run_manifest(load_manifest(FIXTURES / "manifest.json")[:3], RunConfig())
+    rows = run_manifest(load_manifest(FIXTURES / "manifest.json")[:3])
     rows[2].oracle = rows[2].m_swap_max + 1  # an optimum no feasible schedule allows
     summary = bench_summary(rows, standard_beta_grid())
     assert summary["sandwich_violations"] == [(rows[2].benchmark, rows[2].device)]
@@ -378,3 +369,71 @@ def test_usage_errors_exit_input(capsys):
     assert main(["bound"]) == 1
     assert main(["--help"]) == 0
     assert "usage:" in capsys.readouterr().out
+    pair = ["--circuit", str(FIXTURES / "paw4.json"), "--device", str(FIXTURES / "tshape7.json")]
+    assert main(["bound", *pair, "--format", "yaml"]) == 1
+    for argv, message in (
+        (["bound", *pair, "--stall-budget", "-1"], "stall_budget must be >= 0"),
+        (["sweep", *pair, "--stall-budget", "-1"], "stall_budget must be >= 0"),
+        (["assign", *pair, "--class-budget", "0"], "class_budget must be >= 1"),
+    ):
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_bench_row_matches_compute_bound():
+    pairs = load_manifest(FIXTURES / "manifest.json")
+    for row, (circuit_path, device_path) in zip(run_manifest(pairs), pairs):
+        ig = interaction_graph(read_circuit_file(circuit_path))
+        report = compute_bound(ig, read_device_file(device_path).coupling)
+        assert (row.ged, row.method, row.u_swap, row.beta_star, row.m_swap_max) == (
+            report.ged,
+            report.method,
+            report.u_swap,
+            report.beta_star,
+            report.m_swap_max,
+        ), circuit_path.name
+
+
+CLI_GOLDEN_CASES = [
+    pytest.param(circuit, device, suffix, command, id=f"{circuit}@{device}:{suffix}")
+    for circuit, device in (("paw4", "tshape7"), ("chain6_repeats", "grid2x4"))
+    for suffix, command in (
+        ("bound.json", ["bound"]),
+        ("bound_beta0.5.json", ["bound", "--beta", "0.5"]),
+        ("bound.csv", ["bound", "--format", "csv"]),
+        ("sweep.csv", ["sweep"]),
+    )
+]
+
+
+def _pop_divergences(doc: dict) -> list[float]:
+    """The trace's divergence floats, blanked in ``doc``."""
+    values = []
+    for step in doc["trace"]:
+        for key in ("qjsd_before", "qjsd_after"):
+            if key in step:
+                values.append(step[key])
+                step[key] = None
+    return values
+
+
+@pytest.mark.parametrize("circuit, device, suffix, command", CLI_GOLDEN_CASES)
+def test_cli_output_matches_golden(capsys, circuit, device, suffix, command):
+    # every byte is pinned except the trace's divergences, which another
+    # LAPACK build may round differently
+    code, out, err = run_cli(
+        capsys,
+        command[0],
+        "--circuit", str(FIXTURES / f"{circuit}.json"),
+        "--device", str(FIXTURES / f"{device}.json"),
+        *command[1:],
+    )
+    assert (code, err) == (0, "")
+    golden = (GOLDEN / "cli" / f"{circuit}_{device}_{suffix}").read_text()
+    if suffix.endswith(".csv"):
+        assert out == golden
+        return
+    fresh, recorded = json.loads(out), json.loads(golden)
+    assert _pop_divergences(fresh) == pytest.approx(_pop_divergences(recorded), abs=1e-12)
+    assert json.dumps(fresh, indent=2) + "\n" == json.dumps(recorded, indent=2) + "\n"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -127,8 +128,8 @@ def test_swap_uncomplexity_k4_on_p4_bounded_by_oracle():
 
 
 def test_early_zero_requires_edge_set_equality_not_just_divergence():
-    # At beta tiny the divergence of distinct graphs drops below EPS_ISO,
-    # but the graph-level equality check must keep the loop honest.
+    # At beta tiny the divergence of distinct graphs all but vanishes; the
+    # descent must still run until every interaction sits on a coupler.
     ig = ig_of(star_graph(4))
     a = Assignment.build(path_graph(4), (1, 0, 2, 3))
     beta = 1e-5
@@ -297,6 +298,22 @@ def test_compute_bound_trace_is_the_winning_run():
     m, trace = swap_uncomplexity(ig, report.assignment, report.beta_star)
     assert report.trace == trace
     assert m == report.u_swap == trace.swap_count
+
+
+def test_compute_bound_reports_compare_equal_despite_timings():
+    ig = ig_of(complete_graph(4))
+    first = compute_bound(ig, path_graph(4))
+    second = compute_bound(ig, path_graph(4))
+    assert first.sweep_ms > 0.0
+    assert first == second
+    assert first == replace(second, assign_ms=first.assign_ms + 1.0, sweep_ms=0.0)
+
+
+def test_compute_bound_rejects_negative_stall_budget():
+    ig = ig_of(star_graph(4))
+    for beta in (None, 1e-3):
+        with pytest.raises(ValidationError, match="stall_budget must be >= 0"):
+            compute_bound(ig, path_graph(4), beta=beta, stall_budget=-1)
 
 
 def test_compute_bound_single_beta():
