@@ -34,25 +34,13 @@ from .errors import (
 )
 from .graphs import Graph, canonical_form, graph_diameter, induced_subgraph
 from .oracle import brute_force_min_swaps, brute_force_over_assignments
-from .spectral import (
-    DensityMatrix,
-    entropy_curve,
-    gibbs_state,
-    graph_gibbs,
-    laplacian,
-    qjsd,
-    qjsd_via_qre,
-    quantum_relative_entropy,
-    von_neumann_entropy,
-)
+from .spectral import entropy_curve, laplacian
 from .uncomplexity import (
     AlgoTrace,
     BoundReport,
     SweepResult,
-    aligned_qjsd,
     beta_sweep,
     compute_bound,
-    remove_trivial_edges,
     standard_beta_grid,
     swap_uncomplexity,
 )

@@ -75,19 +75,6 @@ class Graph:
     def is_complete(self) -> bool:
         return len(self.edges) == self.n * (self.n - 1) // 2
 
-    def remove_edge(self, u: int, v: int) -> "Graph":
-        e = normalize_edge(u, v)
-        if e not in self.edges:
-            raise ValidationError(f"edge {e} not present")
-        return Graph(self.n, self.edges - {e})
-
-    def remove_edges(self, edges: Iterable[Edge]) -> "Graph":
-        drop = {normalize_edge(u, v) for u, v in edges}
-        missing = drop - self.edges
-        if missing:
-            raise ValidationError(f"edges {sorted(missing)} not present")
-        return Graph(self.n, self.edges - drop)
-
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Components as sorted vertex lists, ordered by smallest member."""

@@ -1,4 +1,4 @@
-"""Divergence-guided swap counting: the spectral lower bound.
+"""Divergence-guided swap counting: the descent behind ``u_swap``.
 
 Starting from a qubit assignment, interactions already sitting on
 couplers are erased; the loop then repeatedly evaluates, for every edge
@@ -6,7 +6,12 @@ of the chosen subgraph, the divergence after exchanging the two occupants
 across it. The best strictly improving exchange is applied (one swap),
 newly executable interactions are erased, and the process repeats until
 the interaction state is maximally mixed. The swap count across the whole
-descent is the reported lower bound.
+descent is the reported ``u_swap``.
+
+A descent run that does not stall is a feasible schedule, so
+``oracle <= u_swap`` holds by construction. The paper reads ``u_swap`` as
+a lower bound; here that reading is empirical only, and it fails on some
+instances (``oracle`` can be smaller than ``u_swap``).
 
 When no exchange improves the divergence and nothing is executable, the
 least-bad exchange is applied anyway against a finite stall budget; runs
@@ -30,15 +35,8 @@ from .assignment import (
 )
 from .circuits import InteractionGraph
 from .errors import SweepError, ValidationError
-from .graphs import Edge, Graph, relabel
-from .spectral import (
-    check_beta,
-    entropy_of_probs,
-    gibbs_weights,
-    graph_gibbs,
-    laplacian_spectrum,
-    qjsd,
-)
+from .graphs import Edge, Graph
+from .spectral import check_beta, entropy_of_probs, gibbs_weights, laplacian_spectrum
 
 EPS_IMP = 1e-12  # strict-improvement margin per applied swap
 
@@ -110,29 +108,6 @@ class BoundReport:
     # wall-clock times, left out of equality so equal inputs give equal reports
     assign_ms: float = field(default=0.0, compare=False)
     sweep_ms: float = field(default=0.0, compare=False)
-
-
-def remove_trivial_edges(ig: Graph, a: Assignment) -> Graph:
-    """Drop interaction edges already sitting on subgraph couplers."""
-    return Graph(ig.n, pending_interactions(ig.edges, a.positions(), a.cg_subgraph.edges))
-
-
-def cg_in_ig_frame(a: Assignment) -> Graph:
-    """The chosen subgraph relabeled so indices refer to IG vertices."""
-    pos = a.positions()
-    inverse = [0] * len(pos)
-    for v, p in enumerate(pos):
-        inverse[p] = v
-    return relabel(a.cg_subgraph, inverse)
-
-
-def aligned_qjsd(ig_remaining: Graph, a: Assignment, beta: float) -> float:
-    """Divergence between the interaction state and the aligned device state."""
-    if ig_remaining.n != a.cg_subgraph.n:
-        raise ValidationError("interaction graph and subgraph sizes differ")
-    rho = graph_gibbs(ig_remaining, beta)
-    sigma = graph_gibbs(cg_in_ig_frame(a), beta)
-    return qjsd(rho, sigma)
 
 
 def _row_entropies(eigenvalue_rows: np.ndarray) -> np.ndarray:
@@ -311,6 +286,8 @@ def compute_bound(
     assign_ms = (time.perf_counter() - t0) * 1000
     a = placed.assignment
     m_max = max_swap_bound(ig, a)
+    if stall_budget is None:
+        stall_budget = m_max
     t0 = time.perf_counter()
     if beta is None:
         sweep, trace = _sweep(ig, a, None, stall_budget)

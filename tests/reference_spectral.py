@@ -1,0 +1,175 @@
+"""Density-matrix reference for the divergence the descent computes.
+
+The pipeline evaluates the divergence only in ``uncomplexity._Engine``;
+this module recomputes it from full matrices, with every eigendecomposition
+taken fresh (never from the ``laplacian_spectrum`` cache), so tests can
+check the engine against an independent route. All logarithms are natural.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from swapbound.assignment import Assignment, pending_interactions
+from swapbound.errors import NumericalError, ValidationError
+from swapbound.graphs import Graph, relabel
+from swapbound.spectral import check_beta, entropy_of_probs, gibbs_weights, laplacian
+
+TRACE_TOL = 1e-12
+EIG_FLOOR = -1e-10
+SUPPORT_TOL = 1e-10
+
+
+def symmetrize(a: np.ndarray) -> np.ndarray:
+    """Force exact storage symmetry."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
+    return (a + a.T) / 2.0
+
+
+@dataclass(frozen=True)
+class DensityMatrix:
+    """Real symmetric, PSD, unit-trace matrix with its spectrum cached.
+
+    ``eigenvalues`` are ascending; ``eigenvectors`` holds the matching
+    orthonormal columns. Raw eigenvalues may dip to -1e-10 from floating
+    point drift; entropy computations clamp them at zero.
+    """
+
+    entries: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.entries.shape[0]
+
+    @classmethod
+    def from_matrix(cls, entries: np.ndarray) -> "DensityMatrix":
+        a = symmetrize(entries)
+        if not np.all(np.isfinite(a)):
+            raise NumericalError("density matrix has non-finite entries")
+        trace = float(np.trace(a))
+        if abs(trace - 1.0) > TRACE_TOL:
+            raise ValidationError(f"trace {trace} differs from 1 beyond {TRACE_TOL}")
+        w, v = np.linalg.eigh(a)
+        if w.min() < EIG_FLOOR:
+            raise ValidationError(f"eigenvalue {w.min()} below PSD floor {EIG_FLOOR}")
+        return cls(a, w, v)
+
+    @classmethod
+    def from_spectrum(cls, eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> "DensityMatrix":
+        w = np.asarray(eigenvalues, dtype=float)
+        v = np.asarray(eigenvectors, dtype=float)
+        entries = symmetrize((v * w) @ v.T)
+        return cls(entries, w, v)
+
+
+def gibbs_state(L: np.ndarray, beta: float) -> DensityMatrix:
+    """rho = exp(-beta L) / Tr[exp(-beta L)] via the eigenbasis of L.
+
+    The state shares eigenvectors with L; its eigenvalue on the i-th
+    eigenvector is exp(-beta lam_i) / sum_k exp(-beta lam_k). Weights are
+    shifted by the smallest Laplacian eigenvalue before exponentiating so
+    that large beta underflows to the ground-space projector instead of
+    overflowing.
+    """
+    beta = check_beta(beta)
+    L = symmetrize(L)
+    if not np.all(np.isfinite(L)):
+        raise NumericalError("Laplacian has non-finite entries")
+    w, v = np.linalg.eigh(L)
+    p = gibbs_weights(w, beta)
+    order = np.argsort(p)
+    return DensityMatrix.from_spectrum(p[order], v[:, order])
+
+
+def graph_gibbs(g: Graph, beta: float) -> DensityMatrix:
+    """Gibbs state of a graph, from a fresh eigendecomposition of its Laplacian."""
+    return gibbs_state(laplacian(g), beta)
+
+
+def von_neumann_entropy(rho: DensityMatrix) -> float:
+    """S = -sum p_i ln p_i over clamped eigenvalues, with 0 ln 0 := 0."""
+    return entropy_of_probs(rho.eigenvalues)
+
+
+def _check_same_dim(rho: DensityMatrix, sigma: DensityMatrix):
+    if rho.dim != sigma.dim:
+        raise ValidationError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
+
+
+def quantum_relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+    """Tr[rho ln rho] - Tr[rho ln sigma]; +inf outside sigma's support.
+
+    The support condition is checked to tolerance 1e-10: probability mass
+    of rho on sigma's null space beyond that returns ``math.inf`` (a legal
+    value, not an error).
+    """
+    _check_same_dim(rho, sigma)
+    p = np.maximum(rho.eigenvalues, 0.0)
+    q = np.maximum(sigma.eigenvalues, 0.0)
+    overlap = (rho.eigenvectors.T @ sigma.eigenvectors) ** 2
+    null = q <= SUPPORT_TOL
+    if null.any():
+        escaped = float(p @ overlap[:, null].sum(axis=1))
+        if escaped > SUPPORT_TOL:
+            return math.inf
+    plogp = float(np.sum(p[p > 0.0] * np.log(p[p > 0.0])))
+    live = q > SUPPORT_TOL
+    plogq = float((p @ overlap[:, live]) @ np.log(q[live]))
+    return max(plogp - plogq, 0.0)
+
+
+def _mixture_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+    mix = (rho.entries + sigma.entries) / 2.0
+    return entropy_of_probs(np.linalg.eigvalsh(mix))
+
+
+def qjsd(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+    """S((rho+sigma)/2) - (S(rho) + S(sigma)) / 2, in [0, ln 2]."""
+    _check_same_dim(rho, sigma)
+    value = _mixture_entropy(rho, sigma) - (
+        von_neumann_entropy(rho) + von_neumann_entropy(sigma)
+    ) / 2.0
+    return max(value, 0.0)
+
+
+def qjsd_via_qre(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+    """Equivalent relative-entropy form: the mean divergence to the mixture.
+
+    Agrees with :func:`qjsd` to 1e-9 on all inputs; kept as an independent
+    route for cross-checking.
+    """
+    _check_same_dim(rho, sigma)
+    mix = DensityMatrix.from_matrix((rho.entries + sigma.entries) / 2.0)
+    return (
+        quantum_relative_entropy(rho, mix) + quantum_relative_entropy(sigma, mix)
+    ) / 2.0
+
+
+def remove_trivial_edges(ig: Graph, a: Assignment) -> Graph:
+    """Drop interaction edges already sitting on subgraph couplers."""
+    return Graph(ig.n, pending_interactions(ig.edges, a.positions(), a.cg_subgraph.edges))
+
+
+def cg_in_ig_frame(a: Assignment) -> Graph:
+    """The chosen subgraph relabeled so indices refer to IG vertices."""
+    pos = a.positions()
+    inverse = [0] * len(pos)
+    for v, p in enumerate(pos):
+        inverse[p] = v
+    return relabel(a.cg_subgraph, inverse)
+
+
+def aligned_qjsd(ig_remaining: Graph, a: Assignment, beta: float) -> float:
+    """Divergence between the interaction state and the aligned device state."""
+    if ig_remaining.n != a.cg_subgraph.n:
+        raise ValidationError("interaction graph and subgraph sizes differ")
+    rho = graph_gibbs(ig_remaining, beta)
+    sigma = graph_gibbs(cg_in_ig_frame(a), beta)
+    return qjsd(rho, sigma)

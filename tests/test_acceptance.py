@@ -22,17 +22,8 @@ from swapbound.bench import bench_summary, beta_histogram, load_manifest, run_ma
 from swapbound.circuits import Circuit, interaction_graph, parse_circuit_json, parse_device
 from swapbound.graphs import Graph, canonical_form, induced_subgraph
 from swapbound.oracle import _SwapFloor, brute_force_min_swaps
-from swapbound.spectral import (
-    DensityMatrix,
-    entropy_curve,
-    gibbs_state,
-    laplacian,
-    qjsd,
-    qjsd_via_qre,
-    von_neumann_entropy,
-)
+from swapbound.spectral import entropy_curve, laplacian
 from swapbound.uncomplexity import (
-    aligned_qjsd,
     beta_sweep,
     standard_beta_grid,
     swap_uncomplexity,
@@ -47,6 +38,14 @@ from conftest import (
     random_connected_graph,
     random_density,
     star_graph,
+)
+from reference_spectral import (
+    DensityMatrix,
+    aligned_qjsd,
+    gibbs_state,
+    qjsd,
+    qjsd_via_qre,
+    von_neumann_entropy,
 )
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "swapbound" / "fixtures"

@@ -1,7 +1,8 @@
 """Edge erasure: the measurement that removes one executed interaction.
 
-The descent realizes it as ``Graph.remove_edge`` (``remove_edges`` for a
-round of erasures) and re-derives the Gibbs state from the smaller graph.
+The descent erases the interactions ``assignment.pending_interactions``
+no longer lists and re-derives the Gibbs state from the smaller graph;
+these tests build the erased graph as ``Graph(g.n, g.edges - {e})``.
 """
 
 import itertools
@@ -10,28 +11,17 @@ import math
 import numpy as np
 import pytest
 
-from swapbound.errors import ValidationError
 from swapbound.graphs import Graph
-from swapbound.spectral import graph_gibbs, von_neumann_entropy
 
-from conftest import all_graphs, complete_graph, path_graph
-
-
-def test_erase_edge_triangle_to_path():
-    g = complete_graph(3).remove_edge(0, 1)
-    assert g.edge_list == ((0, 2), (1, 2))
+from conftest import all_graphs, path_graph
+from reference_spectral import graph_gibbs, von_neumann_entropy
 
 
 def test_erase_edge_to_maximally_mixed():
-    g = path_graph(2).remove_edge(0, 1)
+    g = Graph(2, path_graph(2).edges - {(0, 1)})
     assert g.num_edges() == 0
     rho = graph_gibbs(g, 0.7)
     assert np.allclose(rho.entries, np.eye(2) / 2)
-
-
-def test_erase_absent_edge_raises():
-    with pytest.raises(ValidationError):
-        path_graph(3).remove_edge(0, 2)
 
 
 def test_erasing_everything_in_any_order_reaches_identity():
@@ -39,17 +29,11 @@ def test_erasing_everything_in_any_order_reaches_identity():
     for order in itertools.permutations(g.edge_list):
         cur = g
         for e in order:
-            cur = cur.remove_edge(*e)
+            cur = Graph(cur.n, cur.edges - {e})
         assert cur.num_edges() == 0
-        assert g.remove_edges(order) == cur
+        assert Graph(g.n, g.edges - set(order)) == cur
     rho = graph_gibbs(Graph(4), 3.0)
     assert np.allclose(rho.entries, np.eye(4) / 4)
-
-
-def test_erase_strictly_decreases_edges():
-    g = complete_graph(4)
-    for e in g.edge_list:
-        assert g.remove_edge(*e).num_edges() == g.num_edges() - 1
 
 
 @pytest.mark.xfail(
@@ -66,7 +50,7 @@ def test_entropy_never_decreases_under_erasure_as_stated():
     for n in range(2, 6):
         for g in all_graphs(n):
             for e in g.edge_list:
-                erased = g.remove_edge(*e)
+                erased = Graph(g.n, g.edges - {e})
                 for beta in betas:
                     before = von_neumann_entropy(graph_gibbs(g, beta))
                     after = von_neumann_entropy(graph_gibbs(erased, beta))
@@ -76,7 +60,7 @@ def test_entropy_never_decreases_under_erasure_as_stated():
 def test_entropy_erasure_counterexample_and_large_beta_behavior():
     # Counterexample: triangle {0,1,2} plus isolated edge (3,4) at beta=0.1.
     g = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
-    erased = g.remove_edge(3, 4)
+    erased = Graph(g.n, g.edges - {(3, 4)})
     before = von_neumann_entropy(graph_gibbs(g, 0.1))
     after = von_neumann_entropy(graph_gibbs(erased, 0.1))
     assert after < before - 1e-6  # entropy drops: the stated invariant fails

@@ -200,12 +200,22 @@ def test_sweep_csv_is_99_rows(capsys):
     assert all(line.split(",")[1] == "0" for line in lines[1:])
 
 
-def test_curve_csv(capsys):
-    code, out, _ = run_cli(capsys, "curve", "--device", str(FIXTURES / "line5.json"))
+@pytest.mark.parametrize(
+    "flag, name", [("--device", "line5"), ("--circuit", "paw4")], ids=["line5", "paw4"]
+)
+def test_curve_csv(capsys, flag, name):
+    code, out, _ = run_cli(capsys, "curve", flag, str(FIXTURES / f"{name}.json"))
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0] == "beta,entropy"
     assert len(lines) == 100
+    golden = (GOLDEN / "cli" / f"curve_{name}.csv").read_text().strip().split("\n")
+    fresh = [line.split(",") for line in lines[1:]]
+    recorded = [line.split(",") for line in golden[1:]]
+    assert [b for b, _ in fresh] == [b for b, _ in recorded]
+    assert [float(s) for _, s in fresh] == pytest.approx(
+        [float(s) for _, s in recorded], abs=1e-12
+    )
 
 
 def test_output_determinism(capsys):

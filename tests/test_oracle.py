@@ -14,7 +14,6 @@ from swapbound.oracle import (
     brute_force_min_swaps,
     brute_force_over_assignments,
 )
-from swapbound.uncomplexity import remove_trivial_edges
 
 from conftest import (
     complete_graph,
@@ -23,6 +22,7 @@ from conftest import (
     random_connected_graph,
     star_graph,
 )
+from reference_spectral import remove_trivial_edges
 
 
 def solvable_within(ig: Graph, a: Assignment, depth: int) -> bool:

@@ -6,17 +6,7 @@ import pytest
 
 from swapbound.errors import ValidationError
 from swapbound.graphs import Graph
-from swapbound.spectral import (
-    DensityMatrix,
-    entropy_curve,
-    gibbs_state,
-    graph_gibbs,
-    laplacian,
-    qjsd,
-    qjsd_via_qre,
-    quantum_relative_entropy,
-    von_neumann_entropy,
-)
+from swapbound.spectral import entropy_curve, laplacian
 from swapbound.uncomplexity import standard_beta_grid
 
 from conftest import (
@@ -26,6 +16,15 @@ from conftest import (
     path_graph,
     random_density,
     scalar_entropy,
+)
+from reference_spectral import (
+    DensityMatrix,
+    gibbs_state,
+    graph_gibbs,
+    qjsd,
+    qjsd_via_qre,
+    quantum_relative_entropy,
+    von_neumann_entropy,
 )
 
 LN2 = math.log(2.0)

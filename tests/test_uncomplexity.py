@@ -4,21 +4,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from swapbound.assignment import Assignment, assign_qubits
+from swapbound.assignment import Assignment, assign_qubits, max_swap_bound
 from swapbound.circuits import Circuit, interaction_graph
 from swapbound.errors import SweepError, ValidationError
 from swapbound.graphs import Graph
 from swapbound.oracle import brute_force_min_swaps
-from swapbound.spectral import graph_gibbs, qjsd
 from swapbound.uncomplexity import (
     EraseStep,
     StallStep,
     SwapStep,
-    aligned_qjsd,
     beta_sweep,
-    cg_in_ig_frame,
     compute_bound,
-    remove_trivial_edges,
     standard_beta_grid,
     swap_uncomplexity,
     validate_beta_grid,
@@ -32,6 +28,13 @@ from conftest import (
     random_interaction_graph,
     scalar_entropy,
     star_graph,
+)
+from reference_spectral import (
+    aligned_qjsd,
+    cg_in_ig_frame,
+    graph_gibbs,
+    qjsd,
+    remove_trivial_edges,
 )
 
 
@@ -169,8 +172,6 @@ def test_termination_iteration_budget():
         cg = random_connected_graph(rng, int(rng.integers(k, 8)), 0.4)
         placed = assign_qubits(ig, cg)
         a = placed.assignment
-        from swapbound.assignment import max_swap_bound
-
         budget = max_swap_bound(ig, a)
         remaining0 = remove_trivial_edges(ig.graph, a)
         cap = budget + remaining0.num_edges() * max(a.cg_subgraph.num_edges(), 1)
@@ -207,7 +208,7 @@ def test_trace_divergences_match_public_route():
                 )
                 replayed += 1
             elif isinstance(step, EraseStep):
-                remaining = remaining.remove_edges(step.edges)
+                remaining = Graph(remaining.n, remaining.edges - set(step.edges))
         if not trace.stalled:
             assert remaining.num_edges() == 0
     assert replayed > 10
@@ -321,3 +322,18 @@ def test_compute_bound_single_beta():
     report = compute_bound(ig, path_graph(4), beta=1e-3)
     assert report.beta_star == 1e-3
     assert report.per_beta is None
+
+
+@pytest.mark.parametrize("beta", [None, 0.5])
+def test_compute_bound_computes_max_swap_bound_once(monkeypatch, beta):
+    # the default stall budget is m_swap_max: compute it once and pass it down
+    calls = []
+
+    def counted(ig, a):
+        calls.append(1)
+        return max_swap_bound(ig, a)
+
+    monkeypatch.setattr("swapbound.uncomplexity.max_swap_bound", counted)
+    report = compute_bound(ig_of(complete_graph(4)), path_graph(4), beta=beta)
+    assert len(calls) == 1
+    assert report.m_swap_max == 12
