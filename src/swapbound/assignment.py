@@ -75,6 +75,16 @@ def pending_interactions(
     )
 
 
+def exchanges(pos: Sequence[int], sub: Graph) -> list[tuple[int, ...]]:
+    """The placement after a swap across each subgraph edge, in ``edge_list`` order."""
+    out = []
+    for x, y in sub.edge_list:
+        new_pos = list(pos)
+        new_pos[pos.index(x)], new_pos[pos.index(y)] = y, x
+        out.append(tuple(new_pos))
+    return out
+
+
 @dataclass(frozen=True)
 class SubgraphClass:
     canonical: tuple[int, int]

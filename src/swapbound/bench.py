@@ -14,7 +14,13 @@ import time
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
-from .circuits import interaction_graph, parse_circuit_json, parse_circuit_qasm_subset, parse_device
+from .circuits import (
+    _decode,
+    interaction_graph,
+    parse_circuit_json,
+    parse_circuit_qasm_subset,
+    parse_device,
+)
 from .errors import ParseError, SwapBoundError, SweepError, ValidationError
 from .oracle import ORACLE_MAX_VERTICES, brute_force_min_swaps
 from .uncomplexity import compute_bound
@@ -60,6 +66,12 @@ def format_cell(value) -> str:
     return str(value)
 
 
+def csv_text(header: list[str], rows) -> str:
+    """The header line, then one line of ``format_cell`` cells per row."""
+    lines = [",".join(header)] + [",".join(format_cell(c) for c in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def read_circuit_file(path: Path):
     data = path.read_bytes()
     if path.suffix.lower() == ".qasm":
@@ -76,7 +88,7 @@ def read_device_file(path: Path):
 
 def load_manifest(path: Path) -> list[tuple[Path, Path]]:
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(_decode(path.read_bytes()))
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed manifest: {exc.msg}", exc.lineno, exc.colno) from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("pairs"), list):
@@ -84,7 +96,9 @@ def load_manifest(path: Path) -> list[tuple[Path, Path]]:
     base = path.parent
     pairs = []
     for entry in doc["pairs"]:
-        if not isinstance(entry, dict) or "circuit" not in entry or "device" not in entry:
+        if not isinstance(entry, dict) or not all(
+            isinstance(entry.get(k), str) for k in ("circuit", "device")
+        ):
             raise ParseError(f"manifest entry {entry!r} needs 'circuit' and 'device'")
         pairs.append((base / entry["circuit"], base / entry["device"]))
     return pairs
@@ -142,11 +156,8 @@ def rows_to_csv(rows: list[BenchRow]) -> str:
     u_norm = _normalize([r.u_swap for r in rows])
     m_norm = _normalize([r.m_swap_max for r in rows])
     o_norm = _normalize([r.oracle for r in rows])
-    lines = [",".join(BENCH_COLUMNS)]
-    for r, un, mn, on in zip(rows, u_norm, m_norm, o_norm):
-        cells = astuple(r) + (un, mn, on)
-        lines.append(",".join(format_cell(c) for c in cells))
-    return "\n".join(lines) + "\n"
+    cells = [astuple(r) + (un, mn, on) for r, un, mn, on in zip(rows, u_norm, m_norm, o_norm)]
+    return csv_text(BENCH_COLUMNS, cells)
 
 
 def pearson(xs: list[float], ys: list[float]) -> float:
@@ -174,7 +185,7 @@ def correlation_csv(rows: list[BenchRow]) -> str:
     names = ["u_swap", "m_swap_max"]
     if with_oracle:
         names.append("oracle")
-    lines = ["metric," + ",".join(names)]
+    table = []
     for a in names:
         cells = [a]
         for b in names:
@@ -184,9 +195,9 @@ def correlation_csv(rows: list[BenchRow]) -> str:
             else:
                 xs = columns[a]
                 ys = columns[b]
-            cells.append(fmt_float(pearson(xs, ys)) if xs else "")
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+            cells.append(pearson(xs, ys) if xs else None)
+        table.append(cells)
+    return csv_text(["metric"] + names, table)
 
 
 def _col(row: BenchRow, name: str) -> float:
@@ -202,9 +213,7 @@ def beta_histogram(rows: list[BenchRow], grid: tuple[float, ...]) -> list[tuple[
 
 
 def histogram_csv(hist: list[tuple[float, int]]) -> str:
-    lines = ["beta,count"]
-    lines += [f"{fmt_float(b)},{c}" for b, c in hist]
-    return "\n".join(lines) + "\n"
+    return csv_text(["beta", "count"], hist)
 
 
 def bench_summary(rows: list[BenchRow], grid: tuple[float, ...]) -> dict:

@@ -68,7 +68,17 @@ class DeviceSpec:
 
 
 def _decode(text: bytes | str) -> str:
-    return text.decode("utf-8") if isinstance(text, bytes) else text
+    if isinstance(text, str):
+        return text
+    try:
+        return text.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8 text (byte {exc.start})") from exc
+
+
+def _is_int(value) -> bool:
+    """A JSON integer: ``true`` and ``false`` are not counts or indices."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _load_json(text: bytes | str) -> dict:
@@ -87,7 +97,7 @@ def _gate_pairs(raw, num_qubits: int) -> list[Edge]:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise ParseError(f"gate entry {entry!r} is not a pair")
         i, j = entry
-        if not isinstance(i, int) or not isinstance(j, int):
+        if not _is_int(i) or not _is_int(j):
             raise ParseError(f"gate entry {entry!r} has non-integer qubits")
         if i == j:
             raise ValidationError(f"gate on identical qubits ({i},{j})")
@@ -103,7 +113,7 @@ def parse_circuit_json(text: bytes | str) -> Circuit:
     if "qubits" not in doc or "gates" not in doc:
         raise ParseError("circuit JSON requires 'qubits' and 'gates' fields")
     num_qubits = doc["qubits"]
-    if not isinstance(num_qubits, int) or num_qubits < 0:
+    if not _is_int(num_qubits) or num_qubits < 0:
         raise ParseError("'qubits' must be a non-negative integer")
     if not isinstance(doc["gates"], list):
         raise ParseError("'gates' must be a list of pairs")
@@ -172,7 +182,7 @@ def parse_device(text: bytes | str) -> DeviceSpec:
     if "num_qubits" not in doc or "edges" not in doc:
         raise ParseError("device JSON requires 'num_qubits' and 'edges' fields")
     num_qubits = doc["num_qubits"]
-    if not isinstance(num_qubits, int) or num_qubits <= 0:
+    if not _is_int(num_qubits) or num_qubits <= 0:
         raise ParseError("'num_qubits' must be a positive integer")
     if not isinstance(doc["edges"], list):
         raise ParseError("'edges' must be a list of pairs")
@@ -182,7 +192,7 @@ def parse_device(text: bytes | str) -> DeviceSpec:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise ParseError(f"edge entry {entry!r} is not a pair")
         u, v = entry
-        if not isinstance(u, int) or not isinstance(v, int):
+        if not _is_int(u) or not _is_int(v):
             raise ParseError(f"edge entry {entry!r} has non-integer endpoints")
         if u == v:
             raise ValidationError(f"self-loop on vertex {u}")

@@ -7,6 +7,7 @@ violation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ from .bench import (
     bench_summary,
     beta_histogram,
     correlation_csv,
-    fmt_float,
+    csv_text,
     histogram_csv,
     load_manifest,
     read_circuit_file,
@@ -44,24 +45,11 @@ EXIT_STALL = 2
 EXIT_GUARD = 3
 
 
+_STEP_TYPES = {SwapStep: "swap", EraseStep: "erase", StallStep: "stall"}
+
+
 def _trace_json(trace: AlgoTrace) -> list[dict]:
-    out = []
-    for step in trace.steps:
-        if isinstance(step, SwapStep):
-            out.append(
-                {
-                    "type": "swap",
-                    "edge": list(step.edge),
-                    "qjsd_before": step.qjsd_before,
-                    "qjsd_after": step.qjsd_after,
-                    "forced": step.forced,
-                }
-            )
-        elif isinstance(step, EraseStep):
-            out.append({"type": "erase", "edges": [list(e) for e in step.edges]})
-        elif isinstance(step, StallStep):
-            out.append({"type": "stall", "reason": step.reason})
-    return out
+    return [{"type": _STEP_TYPES[type(step)], **dataclasses.asdict(step)} for step in trace.steps]
 
 
 def report_to_json(report: BoundReport, circuit_name: str, device_name: str) -> dict:
@@ -86,20 +74,9 @@ def report_to_json(report: BoundReport, circuit_name: str, device_name: str) -> 
 
 
 def report_to_csv(report: BoundReport, circuit_name: str, device_name: str) -> str:
-    header = "circuit,device,u_swap,beta_star,m_swap_max,ged,stalled,method"
-    row = ",".join(
-        [
-            circuit_name,
-            device_name,
-            str(report.u_swap),
-            fmt_float(report.beta_star),
-            str(report.m_swap_max),
-            str(report.ged),
-            "true" if report.stalled else "false",
-            report.method,
-        ]
-    )
-    return f"{header}\n{row}\n"
+    doc = report_to_json(report, circuit_name, device_name)
+    header = ["circuit", "device", "u_swap", "beta_star", "m_swap_max", "ged", "stalled", "method"]
+    return csv_text(header, [[doc[h] for h in header]])
 
 
 def _load_pair(args):
@@ -141,10 +118,8 @@ def cmd_assign(args) -> int:
         "m_swap_max": max_swap_bound(ig, a),
     }
     if args.format == "csv":
-        sys.stdout.write("circuit,device,ged,method,m_swap_max\n")
-        sys.stdout.write(
-            f"{circuit.name},{device.name},{placed.ged},{placed.method},{doc['m_swap_max']}\n"
-        )
+        header = ["circuit", "device", "ged", "method", "m_swap_max"]
+        sys.stdout.write(csv_text(header, [[doc[h] for h in header]]))
     else:
         json.dump(doc, sys.stdout, indent=2)
         sys.stdout.write("\n")
@@ -180,9 +155,7 @@ def cmd_oracle(args) -> int:
 def cmd_sweep(args) -> int:
     circuit, device, ig = _load_pair(args)
     report = compute_bound(ig, device.coupling, stall_budget=args.stall_budget)
-    sys.stdout.write("beta,m,stalled\n")
-    for b, m, stalled in report.per_beta:
-        sys.stdout.write(f"{fmt_float(b)},{m},{'true' if stalled else 'false'}\n")
+    sys.stdout.write(csv_text(["beta", "m", "stalled"], report.per_beta))
     return EXIT_OK
 
 
@@ -192,10 +165,7 @@ def cmd_curve(args) -> int:
         graph = interaction_graph(circuit).graph
     else:
         graph = read_device_file(Path(args.device)).coupling
-    curve = entropy_curve(graph, standard_beta_grid())
-    sys.stdout.write("beta,entropy\n")
-    for beta, entropy in curve:
-        sys.stdout.write(f"{fmt_float(beta)},{fmt_float(entropy)}\n")
+    sys.stdout.write(csv_text(["beta", "entropy"], entropy_curve(graph, standard_beta_grid())))
     return EXIT_OK
 
 

@@ -34,7 +34,12 @@ import heapq
 import itertools
 from collections import Counter
 
-from .assignment import Assignment, enumerate_connected_subgraph_classes, pending_interactions
+from .assignment import (
+    Assignment,
+    enumerate_connected_subgraph_classes,
+    exchanges,
+    pending_interactions,
+)
 from .errors import SizeGuardError
 from .graphs import Edge, Graph, bfs_distances
 
@@ -104,14 +109,8 @@ def _min_swaps(
         return j
 
     def expand(j: int) -> list[int]:
-        pos = placements[j]
-        out = []
-        for x, y in sub.edge_list:
-            new_pos = list(pos)
-            new_pos[pos.index(x)], new_pos[pos.index(y)] = y, x
-            out.append(intern(tuple(new_pos)))
-        successors[j] = out
-        return out
+        successors[j] = [intern(p) for p in exchanges(placements[j], sub)]
+        return successors[j]
 
     full = (1 << m) - 1
     heap: list[tuple[int, int, int, int]] = []

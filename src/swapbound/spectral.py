@@ -5,7 +5,7 @@ Laplacian L = D - A: the state at inverse temperature beta is
 rho = exp(-beta L) / Tr[exp(-beta L)]. Laplacians are real symmetric, so
 the state is kept as its Laplacian spectrum (cached per graph) and the
 Gibbs weights over it; the divergence itself is computed in
-``uncomplexity._Engine``.
+``uncomplexity._divergences``.
 
 All entropies use natural logarithms (nats).
 """

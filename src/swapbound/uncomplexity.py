@@ -13,16 +13,18 @@ A descent run that does not stall is a feasible schedule, so
 a lower bound; here that reading is empirical only, and it fails on some
 instances (``oracle`` can be smaller than ``u_swap``).
 
-When no exchange improves the divergence and nothing is executable, the
-least-bad exchange is applied anyway against a finite stall budget; runs
-that exhaust it are flagged rather than aborted.
+Every iteration takes one swap path. The pending set is closed under the
+placement at the start and after every swap, so when no exchange improves
+the divergence there is nothing to erase either: the least-bad exchange
+is then applied anyway (a forced swap) against a finite stall budget,
+and runs that exhaust it are flagged rather than aborted.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -30,6 +32,7 @@ from .assignment import (
     DEFAULT_CLASS_BUDGET,
     Assignment,
     assign_qubits,
+    exchanges,
     max_swap_bound,
     pending_interactions,
 )
@@ -44,17 +47,6 @@ EPS_IMP = 1e-12  # strict-improvement margin per applied swap
 def standard_beta_grid() -> tuple[float, ...]:
     """The 99-point sweep grid A*10^a, A in 1..9, a in -5..5, ascending."""
     return tuple(sorted(a * 10.0**e for a in range(1, 10) for e in range(-5, 6)))
-
-
-def validate_beta_grid(grid: Sequence[float]) -> tuple[float, ...]:
-    values = tuple(check_beta(b) for b in grid)
-    if not values:
-        raise ValidationError("beta grid is empty")
-    if any(b <= 0.0 for b in values):
-        raise ValidationError("beta grid values must be > 0")
-    if any(b2 <= b1 for b1, b2 in zip(values, values[1:])):
-        raise ValidationError("beta grid must be strictly increasing")
-    return values
 
 
 @dataclass(frozen=True)
@@ -92,6 +84,7 @@ class SweepResult:
     beta_star: float
     m_star: int
     per_beta: tuple[tuple[float, int, bool], ...]  # (beta, m, stalled)
+    trace: AlgoTrace  # the winning run's
 
 
 @dataclass(frozen=True)
@@ -110,52 +103,26 @@ class BoundReport:
     sweep_ms: float = field(default=0.0, compare=False)
 
 
-def _row_entropies(eigenvalue_rows: np.ndarray) -> np.ndarray:
-    p = np.maximum(eigenvalue_rows, 0.0)
-    terms = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-    return np.maximum(-terms.sum(axis=1), 0.0)
+def _gibbs(graph: Graph, beta: float) -> tuple[np.ndarray, float]:
+    """The graph's Gibbs state ``exp(-beta L) / Z`` as a matrix, and its entropy."""
+    w, v = laplacian_spectrum(graph)
+    p = gibbs_weights(np.asarray(w), beta)
+    return (np.asarray(v) * p) @ np.asarray(v).T, entropy_of_probs(p)
 
 
-class _Engine:
-    """Shared state for one run: subgraph spectrum, device state, caches."""
-
-    def __init__(self, graph: Graph, sub: Graph, beta: float):
-        self.k = graph.n
-        self.beta = beta
-        self.candidates = sub.edge_list
-        w, v = laplacian_spectrum(sub)
-        p_cg = gibbs_weights(np.asarray(w), beta)
-        self.sigma0 = (np.asarray(v) * p_cg) @ np.asarray(v).T
-        self.s_sigma = entropy_of_probs(p_cg)
-
-    def rho_parts(self, remaining: frozenset[Edge]) -> tuple[np.ndarray, float]:
-        w, v = laplacian_spectrum(Graph(self.k, remaining))
-        p = gibbs_weights(np.asarray(w), self.beta)
-        rho = (np.asarray(v) * p) @ np.asarray(v).T
-        return rho, entropy_of_probs(p)
-
-    def swapped(self, pos: list[int]) -> list[list[int]]:
-        """The placement after exchanging the occupants of each candidate edge."""
-        out = []
-        for x, y in self.candidates:
-            u = pos.index(x)
-            v = pos.index(y)
-            npos = list(pos)
-            npos[u], npos[v] = y, x
-            out.append(npos)
-        return out
-
-    def divergences(
-        self, remaining: frozenset[Edge], placements: Sequence[Sequence[int]]
-    ) -> np.ndarray:
-        """The divergence between the two states under each placement."""
-        rho, s_rho = self.rho_parts(remaining)
-        stacked = np.empty((len(placements), self.k, self.k))
-        for i, p in enumerate(placements):
-            stacked[i] = (rho + self.sigma0[np.ix_(p, p)]) / 2.0
-        entropies = _row_entropies(np.linalg.eigvalsh(stacked))
-        base = (s_rho + self.s_sigma) / 2.0
-        return np.maximum(entropies - base, 0.0)
+def _divergences(
+    rho: tuple[np.ndarray, float], sigma: tuple[np.ndarray, float], placements
+) -> np.ndarray:
+    """The divergence between ``rho`` and ``sigma`` relabelled by each placement."""
+    (rho_m, s_rho), (sigma_m, s_sigma) = rho, sigma
+    k = len(rho_m)
+    stacked = np.empty((len(placements), k, k))
+    for i, p in enumerate(placements):
+        stacked[i] = (rho_m + sigma_m[np.ix_(p, p)]) / 2.0
+    q = np.maximum(np.linalg.eigvalsh(stacked), 0.0)
+    terms = np.where(q > 0.0, q * np.log(np.where(q > 0.0, q, 1.0)), 0.0)
+    entropies = np.maximum(-terms.sum(axis=1), 0.0)
+    return np.maximum(entropies - (s_rho + s_sigma) / 2.0, 0.0)
 
 
 def swap_uncomplexity(
@@ -178,26 +145,16 @@ def swap_uncomplexity(
     graph = ig.graph
     if graph.n != a.cg_subgraph.n:
         raise ValidationError("assignment does not cover the interaction graph")
-    engine = _Engine(graph, a.cg_subgraph, beta)
-    pos = list(a.positions())
-    sub_edges = a.cg_subgraph.edges
-    remaining = pending_interactions(graph.edges, pos, sub_edges)
+    sub = a.cg_subgraph
+    sigma = _gibbs(sub, beta)
+    pos = a.positions()
+    remaining = pending_interactions(graph.edges, pos, sub.edges)
     steps: list[TraceStep] = []
     m = 0
     budget = stall_budget if stall_budget is not None else max_swap_bound(ig, a)
-    max_iterations = budget + len(remaining) * max(len(engine.candidates), 1)
+    max_iterations = budget + len(remaining) * max(len(sub.edge_list), 1)
     stalled = False
     iterations = 0
-
-    def erase_now() -> bool:
-        nonlocal remaining
-        still = pending_interactions(remaining, pos, sub_edges)
-        newly = remaining - still
-        if newly:
-            remaining = still
-            steps.append(EraseStep(tuple(sorted(newly))))
-            return True
-        return False
 
     while remaining:
         iterations += 1
@@ -205,66 +162,50 @@ def swap_uncomplexity(
             steps.append(StallStep("iteration cap reached"))
             stalled = True
             break
-        swapped = engine.swapped(pos)
-        values = engine.divergences(remaining, [pos] + swapped)
+        swapped = exchanges(pos, sub)
+        values = _divergences(_gibbs(Graph(graph.n, remaining), beta), sigma, [pos] + swapped)
         qjsd1 = float(values[0])
         best_i = int(np.argmin(values[1:]))  # first minimum = smallest edge
         best_val = float(values[1 + best_i])
-        if best_val < qjsd1 - EPS_IMP:
-            pos = swapped[best_i]
-            m += 1
-            steps.append(SwapStep(engine.candidates[best_i], qjsd1, best_val))
-            erase_now()
-            continue
-        if erase_now():
-            continue
-        if budget <= 0:
-            steps.append(StallStep("stall budget exhausted"))
-            stalled = True
-            break
-        budget -= 1
-        steps.append(StallStep("no improving swap; applying least-bad candidate"))
+        forced = not best_val < qjsd1 - EPS_IMP  # a NaN divergence forces too
+        if forced:
+            if budget <= 0:
+                steps.append(StallStep("stall budget exhausted"))
+                stalled = True
+                break
+            budget -= 1
+            steps.append(StallStep("no improving swap; applying least-bad candidate"))
         pos = swapped[best_i]
         m += 1
-        steps.append(SwapStep(engine.candidates[best_i], qjsd1, best_val, forced=True))
-        erase_now()
+        steps.append(SwapStep(sub.edge_list[best_i], qjsd1, best_val, forced))
+        still = pending_interactions(remaining, pos, sub.edges)
+        if still != remaining:
+            steps.append(EraseStep(tuple(sorted(remaining - still))))
+            remaining = still
 
     return m, AlgoTrace(tuple(steps), beta, m, stalled, iterations)
 
 
-def _sweep(
-    ig: InteractionGraph, a: Assignment, grid: Sequence[float] | None, stall_budget: int | None
-) -> tuple[SweepResult, AlgoTrace]:
-    """The sweep and the trace of its winning run."""
-    values = standard_beta_grid() if grid is None else validate_beta_grid(grid)
-    if stall_budget is None:
-        stall_budget = max_swap_bound(ig, a)
-    per_beta: list[tuple[float, int, bool]] = []
-    best: tuple[int, float, AlgoTrace] | None = None
-    for b in values:
-        m, trace = swap_uncomplexity(ig, a, b, stall_budget=stall_budget)
-        per_beta.append((b, m, trace.stalled))
-        if not trace.stalled and (best is None or m < best[0]):
-            best = (m, b, trace)
-    if best is None:
-        raise SweepError("every sweep run stalled", partial=per_beta)
-    m_star, beta_star, trace = best
-    return SweepResult(beta_star, m_star, tuple(per_beta)), trace
-
-
 def beta_sweep(
-    ig: InteractionGraph,
-    a: Assignment,
-    grid: Sequence[float] | None = None,
-    *,
-    stall_budget: int | None = None,
+    ig: InteractionGraph, a: Assignment, *, stall_budget: int | None = None
 ) -> SweepResult:
-    """Minimum swap count over the grid; ties resolve to the smallest beta.
+    """Minimum swap count over the standard grid; ties resolve to the smallest beta.
 
     Stalled runs are excluded from the minimum. If every run stalls,
     raises :class:`SweepError` carrying the per-beta results.
     """
-    return _sweep(ig, a, grid, stall_budget)[0]
+    if stall_budget is None:
+        stall_budget = max_swap_bound(ig, a)
+    per_beta: list[tuple[float, int, bool]] = []
+    best: AlgoTrace | None = None
+    for b in standard_beta_grid():
+        m, trace = swap_uncomplexity(ig, a, b, stall_budget=stall_budget)
+        per_beta.append((b, m, trace.stalled))
+        if not trace.stalled and (best is None or m < best.swap_count):
+            best = trace
+    if best is None:
+        raise SweepError("every sweep run stalled", partial=per_beta)
+    return SweepResult(best.beta, best.swap_count, tuple(per_beta), best)
 
 
 def compute_bound(
@@ -290,12 +231,13 @@ def compute_bound(
         stall_budget = m_max
     t0 = time.perf_counter()
     if beta is None:
-        sweep, trace = _sweep(ig, a, None, stall_budget)
-        m, beta, stalled, per_beta = sweep.m_star, sweep.beta_star, False, sweep.per_beta
+        sweep = beta_sweep(ig, a, stall_budget=stall_budget)
+        trace, beta, per_beta = sweep.trace, sweep.beta_star, sweep.per_beta
     else:
-        m, trace = swap_uncomplexity(ig, a, beta, stall_budget=stall_budget)
-        stalled, per_beta = trace.stalled, None
+        _, trace = swap_uncomplexity(ig, a, beta, stall_budget=stall_budget)
+        per_beta = None
     sweep_ms = (time.perf_counter() - t0) * 1000
+    m, stalled = trace.swap_count, trace.stalled
     return BoundReport(
         m, beta, m_max, placed.ged, a, trace, stalled, placed.method, per_beta, assign_ms, sweep_ms
     )

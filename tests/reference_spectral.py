@@ -1,6 +1,6 @@
 """Density-matrix reference for the divergence the descent computes.
 
-The pipeline evaluates the divergence only in ``uncomplexity._Engine``;
+The pipeline evaluates the divergence only in ``uncomplexity._divergences``;
 this module recomputes it from full matrices, with every eigendecomposition
 taken fresh (never from the ``laplacian_spectrum`` cache), so tests can
 check the engine against an independent route. All logarithms are natural.

@@ -39,6 +39,26 @@ def test_parse_circuit_malformed_json_has_location():
     assert err.value.line is not None
 
 
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_circuit_json, '{"qubits": 2, "gates": [[0, true]]}'),
+        (parse_circuit_json, '{"qubits": true, "gates": []}'),
+        (parse_device, '{"num_qubits": 2, "edges": [[false, true]]}'),
+    ],
+    ids=["gate", "qubits", "device_edge"],
+)
+def test_json_booleans_are_not_integers(parse, text):
+    with pytest.raises(ParseError):
+        parse(text)
+
+
+@pytest.mark.parametrize("parse", [parse_circuit_json, parse_circuit_qasm_subset, parse_device])
+def test_non_utf8_input_is_a_parse_error(parse):
+    with pytest.raises(ParseError, match="not UTF-8"):
+        parse(b'{"name": "caf\xe9"}')
+
+
 def test_circuit_roundtrip():
     c = parse_circuit_json(b'{"name":"x","qubits":3,"gates":[[2,1],[0,1]]}')
     again = parse_circuit_json(serialize_circuit(c))

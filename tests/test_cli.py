@@ -115,6 +115,19 @@ def test_bound_bad_input_exit_one(tmp_path, capsys):
     assert "error" in err
 
 
+LATIN1_CIRCUIT = b'{"name": "caf\xe9", "qubits": 2, "gates": [[0, 1]]}'
+
+
+def test_bound_non_utf8_file_exit_one(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(LATIN1_CIRCUIT)
+    code, out, err = run_cli(
+        capsys, "bound", "--circuit", str(bad), "--device", str(FIXTURES / "line5.json")
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_bound_missing_file_exit_one(capsys):
     code, _, err = run_cli(
         capsys,
@@ -277,6 +290,34 @@ def test_bench_records_row_failures(tmp_path, capsys):
     assert code == 1  # failures recorded per-row, flagged via exit code
     lines = out.strip().split("\n")
     assert len(lines) == 3
+
+
+def test_bench_records_non_utf8_row_and_keeps_the_others(tmp_path, capsys):
+    (tmp_path / "latin1.json").write_bytes(LATIN1_CIRCUIT)
+    for name in ("chain3.json", "line5.json"):
+        (tmp_path / name).write_text((FIXTURES / name).read_text())
+    pairs = [("chain3.json", "line5.json"), ("latin1.json", "line5.json")]
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text(json.dumps({"pairs": [{"circuit": c, "device": d} for c, d in pairs]}))
+    code, out, _ = run_cli(capsys, "bench", str(mpath))
+    assert code == 1
+    header, good, bad = (line.split(",") for line in out.strip().split("\n"))
+    error = header.index("error")
+    assert good[error] == "" and good[header.index("u_swap")] == "0"
+    assert bad[0] == "latin1" and bad[error].startswith("input is not UTF-8")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [b'{"pairs": [], "note": "\xff"}', b'{"pairs": [{"circuit": 5, "device": "d.json"}]}'],
+    ids=["non_utf8", "path_not_string"],
+)
+def test_bench_malformed_manifest_exit_one(tmp_path, capsys, text):
+    mpath = tmp_path / "manifest.json"
+    mpath.write_bytes(text)
+    code, out, err = run_cli(capsys, "bench", str(mpath))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_bench_rows_deterministic_modulo_timing():

@@ -9,6 +9,7 @@ from swapbound.circuits import Circuit, interaction_graph
 from swapbound.errors import SweepError, ValidationError
 from swapbound.graphs import Graph
 from swapbound.oracle import brute_force_min_swaps
+from swapbound.spectral import laplacian_spectrum
 from swapbound.uncomplexity import (
     EraseStep,
     StallStep,
@@ -17,7 +18,6 @@ from swapbound.uncomplexity import (
     compute_bound,
     standard_beta_grid,
     swap_uncomplexity,
-    validate_beta_grid,
 )
 
 from conftest import (
@@ -51,15 +51,6 @@ def test_standard_grid_shape():
     assert grid[-1] == 9e5
     mantissas = {round(b / 10 ** math.floor(math.log10(b))) for b in grid}
     assert mantissas == set(range(1, 10))
-
-
-def test_validate_beta_grid_rejects_bad_grids():
-    with pytest.raises(ValidationError):
-        validate_beta_grid([])
-    with pytest.raises(ValidationError):
-        validate_beta_grid([0.0, 1.0])
-    with pytest.raises(ValidationError):
-        validate_beta_grid([1.0, 1.0])
 
 
 def test_remove_trivial_edges_isomorphic_match():
@@ -181,7 +172,7 @@ def test_termination_iteration_budget():
 
 
 def test_trace_divergences_match_public_route():
-    # replay the engine's trace through the public single-shot operations
+    # replay the descent's trace through the public single-shot operations
     rng = np.random.default_rng(131)
     replayed = 0
     for _ in range(30):
@@ -212,6 +203,73 @@ def test_trace_divergences_match_public_route():
         if not trace.stalled:
             assert remaining.num_edges() == 0
     assert replayed > 10
+
+
+FORCING = StallStep("no improving swap; applying least-bad candidate")
+
+
+def test_trace_grammar_of_the_single_swap_path():
+    # A forced swap directly follows the forcing stall, an erase only follows
+    # a swap, and any other stall ends a stalled run.
+    rng = np.random.default_rng(137)
+    forced = stalled = 0
+    for _ in range(120):
+        k = int(rng.integers(3, 7))
+        ig = random_interaction_graph(rng, k)
+        cg = random_connected_graph(rng, int(rng.integers(k, 9)), 0.35)
+        a = assign_qubits(ig, cg).assignment
+        for beta in (1e-300, 1e-4, 1.0, 9e5):
+            for stall_budget in (None, 0, 2):
+                _, trace = swap_uncomplexity(ig, a, beta, stall_budget=stall_budget)
+                steps = trace.steps
+                for i, step in enumerate(steps):
+                    before = steps[i - 1] if i else None
+                    if isinstance(step, SwapStep):
+                        assert step.forced == (before == FORCING)
+                        forced += step.forced
+                    elif isinstance(step, EraseStep):
+                        assert isinstance(before, SwapStep)
+                    elif step == FORCING:
+                        assert isinstance(steps[i + 1], SwapStep)
+                    else:
+                        assert i == len(steps) - 1
+                ends_in_stall = bool(steps) and isinstance(steps[-1], StallStep)
+                assert trace.stalled == ends_in_stall
+                assert trace.iterations == trace.swap_count + trace.stalled
+                stalled += trace.stalled
+    assert forced > 0 and stalled > 0
+
+
+def test_sweep_calls_go_through_the_traced_module_names(monkeypatch):
+    # perfbench's tracer counts runs, spectra and eigvalsh batches by patching
+    # these names; a descent that bypassed them would zero its counts.
+    traces = []
+    calls = {"spectra": 0, "eigvalsh": 0}
+
+    def run(*args, **kwargs):
+        result = swap_uncomplexity(*args, **kwargs)
+        traces.append(result[1])
+        return result
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr("swapbound.uncomplexity.swap_uncomplexity", run)
+    monkeypatch.setattr(
+        "swapbound.uncomplexity.laplacian_spectrum", counted("spectra", laplacian_spectrum)
+    )
+    monkeypatch.setattr("numpy.linalg.eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    beta_sweep(ig_of(complete_graph(4)), Assignment.build(path_graph(4), (0, 1, 2, 3)))
+    iterations = sum(t.iterations for t in traces)
+    assert len(traces) == 99
+    assert iterations > 99
+    # the subgraph's spectrum once per run, the pending graph's once per iteration
+    assert calls["spectra"] == 99 + iterations
+    assert calls["eigvalsh"] == iterations
 
 
 def test_deterministic_traces():
@@ -254,21 +312,15 @@ def test_beta_sweep_star_case():
     assert sweep.m_star == 1
 
 
-def test_beta_sweep_custom_grid_and_order():
-    ig = ig_of(star_graph(4))
-    a = Assignment.build(path_graph(4), (1, 0, 2, 3))
-    sweep = beta_sweep(ig, a, grid=(1e-3, 1e-1, 10.0))
-    assert [b for b, _, _ in sweep.per_beta] == [1e-3, 1e-1, 10.0]
-
-
-def test_beta_sweep_all_stalled_raises():
+def test_beta_sweep_all_stalled_raises(monkeypatch):
     ig = ig_of(star_graph(4))
     a = Assignment.build(path_graph(4), (0, 1, 2, 3))
-    # beta = grid of one ultra-high-temperature point with no stall budget:
-    # no strict improvement is representable, so the run must stall
+    # a grid of one ultra-high-temperature point with no stall budget: no
+    # strict improvement is representable, so the run must stall
+    monkeypatch.setattr("swapbound.uncomplexity.standard_beta_grid", lambda: (1e-300,))
     with pytest.raises(SweepError) as err:
-        beta_sweep(ig, a, grid=(1e-300,), stall_budget=0)
-    assert err.value.partial
+        beta_sweep(ig, a, stall_budget=0)
+    assert err.value.partial == [(1e-300, 0, True)]
 
 
 def test_compute_bound_end_to_end():
@@ -297,7 +349,7 @@ def test_compute_bound_trace_is_the_winning_run():
     )
     assert report.per_beta[0][1] > report.u_swap
     m, trace = swap_uncomplexity(ig, report.assignment, report.beta_star)
-    assert report.trace == trace
+    assert report.trace == trace == sweep.trace
     assert m == report.u_swap == trace.swap_count
 
 
