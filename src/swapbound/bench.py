@@ -57,13 +57,17 @@ def fmt_float(x: float) -> str:
 
 
 def format_cell(value) -> str:
+    """One CSV cell, in double quotes when it holds a comma, quote or line break (RFC 4180)."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return fmt_float(value)
-    return str(value)
+    text = str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def csv_text(header: list[str], rows) -> str:

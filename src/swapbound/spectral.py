@@ -53,7 +53,7 @@ def laplacian_spectrum(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 def entropy_of_probs(p: Iterable[float]) -> float:
     p = np.maximum(np.asarray(p, dtype=float), 0.0)
     nz = p[p > 0.0]
-    return float(max(-np.sum(nz * np.log(nz)), 0.0))
+    return float(max(0.0, -np.sum(nz * np.log(nz))))
 
 
 def gibbs_weights(eigenvalues: np.ndarray, beta: float) -> np.ndarray:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -226,9 +228,19 @@ def test_curve_csv(capsys, flag, name):
     fresh = [line.split(",") for line in lines[1:]]
     recorded = [line.split(",") for line in golden[1:]]
     assert [b for b, _ in fresh] == [b for b, _ in recorded]
+    assert not any(s.startswith("-") for _, s in fresh)  # a pure state's entropy is 0, not -0
     assert [float(s) for _, s in fresh] == pytest.approx(
         [float(s) for _, s in recorded], abs=1e-12
     )
+
+
+def test_curve_of_one_qubit_prints_zero_not_negative_zero(tmp_path, capsys):
+    # a 1-qubit circuit's state is pure at every beta: its entropy is 0
+    path = tmp_path / "one_qubit.json"
+    path.write_text(json.dumps({"qubits": 1, "gates": []}))
+    code, out, _ = run_cli(capsys, "curve", "--circuit", str(path))
+    assert code == 0
+    assert [line.split(",")[1] for line in out.strip().split("\n")[1:]] == ["0"] * 99
 
 
 def test_output_determinism(capsys):
@@ -305,6 +317,24 @@ def test_bench_records_non_utf8_row_and_keeps_the_others(tmp_path, capsys):
     error = header.index("error")
     assert good[error] == "" and good[header.index("u_swap")] == "0"
     assert bad[0] == "latin1" and bad[error].startswith("input is not UTF-8")
+
+
+def test_bench_quotes_an_error_that_holds_a_comma(tmp_path, capsys):
+    # the JSON parser's message for `{broken` contains a comma; unquoted, it
+    # split the row into 20 fields under the 19-column header
+    (tmp_path / "broken.json").write_text("{broken")
+    for name in ("chain3.json", "line5.json"):
+        (tmp_path / name).write_text((FIXTURES / name).read_text())
+    pairs = [("chain3.json", "line5.json"), ("broken.json", "line5.json")]
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text(json.dumps({"pairs": [{"circuit": c, "device": d} for c, d in pairs]}))
+    code, out, _ = run_cli(capsys, "bench", str(mpath), "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert (tmp_path / "out" / "bench_rows.csv").read_text() == out
+    header, good, bad = csv.reader(io.StringIO(out))
+    assert len(header) == len(good) == len(bad) == 19
+    assert "," in bad[header.index("error")]
+    assert bad[header.index("error")].startswith("malformed JSON")
 
 
 @pytest.mark.parametrize(

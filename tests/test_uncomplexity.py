@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from swapbound.assignment import Assignment, assign_qubits, max_swap_bound
+from swapbound.assignment import Assignment, assign_qubits, exchanges, max_swap_bound
 from swapbound.circuits import Circuit, interaction_graph
 from swapbound.errors import SweepError, ValidationError
 from swapbound.graphs import Graph
@@ -14,6 +14,8 @@ from swapbound.uncomplexity import (
     EraseStep,
     StallStep,
     SwapStep,
+    _divergences,
+    _gibbs,
     beta_sweep,
     compute_bound,
     standard_beta_grid,
@@ -267,9 +269,52 @@ def test_sweep_calls_go_through_the_traced_module_names(monkeypatch):
     iterations = sum(t.iterations for t in traces)
     assert len(traces) == 99
     assert iterations > 99
-    # the subgraph's spectrum once per run, the pending graph's once per iteration
-    assert calls["spectra"] == 99 + iterations
+    # the subgraph's spectrum once per run, the pending graph's once per pending
+    # set: on the first iteration and on each one after an erasure, never again
+    # after a swap that erased nothing
+    pending_sets = sum(_pending_sets_evaluated(t) for t in traces)
+    assert calls["spectra"] == 99 + pending_sets
+    assert calls["spectra"] < 99 + iterations
     assert calls["eigvalsh"] == iterations
+
+
+def _pending_sets_evaluated(trace) -> int:
+    """Iterations that evaluate a pending set no earlier iteration saw."""
+    count, fresh = 0, True
+    for step in trace.steps:
+        if isinstance(step, EraseStep):
+            fresh = True
+        elif fresh and step != StallStep("iteration cap reached"):  # the cap evaluates nothing
+            count, fresh = count + 1, False
+    return count
+
+
+def _ix_divergences(rho, sigma, placements):
+    """``_divergences`` with one ``np.ix_`` gather per placement."""
+    (rho_m, s_rho), (sigma_m, s_sigma) = rho, sigma
+    k = len(rho_m)
+    stacked = np.empty((len(placements), k, k))
+    for i, p in enumerate(placements):
+        stacked[i] = (rho_m + sigma_m[np.ix_(p, p)]) / 2.0
+    q = np.maximum(np.linalg.eigvalsh(stacked), 0.0)
+    terms = np.where(q > 0.0, q * np.log(np.where(q > 0.0, q, 1.0)), 0.0)
+    entropies = np.maximum(-terms.sum(axis=1), 0.0)
+    return np.maximum(entropies - (s_rho + s_sigma) / 2.0, 0.0)
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_divergences_one_gather_equals_per_placement_gathers(k):
+    rng = np.random.default_rng(1000 + k)
+    for _ in range(4):
+        pending = random_interaction_graph(rng, k).graph
+        sub = random_connected_graph(rng, k, 0.3)
+        pos = tuple(int(i) for i in rng.permutation(k))
+        for beta in (1e-5, 1.0, 9e5):
+            rho, sigma = _gibbs(pending, beta), _gibbs(sub, beta)
+            for placements in ([pos], [pos] + exchanges(pos, sub)):
+                assert np.array_equal(
+                    _divergences(rho, sigma, placements), _ix_divergences(rho, sigma, placements)
+                )
 
 
 def test_deterministic_traces():
