@@ -20,8 +20,6 @@ from .circuits import (
     parse_circuit_json,
     parse_circuit_qasm_subset,
     parse_device,
-    serialize_circuit,
-    serialize_device,
 )
 from .errors import (
     NumericalError,

@@ -203,29 +203,6 @@ def parse_device(text: bytes | str) -> DeviceSpec:
     return DeviceSpec(name, num_qubits, coupling)
 
 
-def serialize_device(spec: DeviceSpec) -> str:
-    """Inverse of ``parse_device`` up to edge ordering."""
-    return json.dumps(
-        {
-            "name": spec.name,
-            "num_qubits": spec.num_qubits,
-            "edges": [list(e) for e in spec.coupling.edge_list],
-        },
-        indent=2,
-    )
-
-
-def serialize_circuit(circuit: Circuit) -> str:
-    return json.dumps(
-        {
-            "name": circuit.name,
-            "qubits": circuit.num_qubits,
-            "gates": [list(g) for g in circuit.two_qubit_gates],
-        },
-        indent=2,
-    )
-
-
 def interaction_graph(circuit: Circuit) -> InteractionGraph:
     """Distinct interacting pairs with gate multiplicities.
 

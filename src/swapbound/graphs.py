@@ -144,13 +144,6 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
     return Graph(len(vertices), frozenset(edges))
 
 
-def relabel(g: Graph, mapping: Sequence[int]) -> Graph:
-    """Graph with vertex i renamed to ``mapping[i]`` (a bijection on [0,n))."""
-    if sorted(mapping) != list(range(g.n)):
-        raise ValidationError("mapping is not a bijection on the vertex range")
-    return Graph(g.n, frozenset(normalize_edge(mapping[u], mapping[v]) for u, v in g.edges))
-
-
 def _refined_colors(g: Graph) -> list[int]:
     """Iterated degree refinement; color ids are label-invariant."""
     colors = list(g.degrees)

@@ -19,10 +19,22 @@ the divergence there is nothing to erase either: the least-bad exchange
 is then applied anyway (a forced swap) against a finite stall budget,
 and runs that exhaust it are flagged rather than aborted.
 
-Each iteration costs one gather and one batched ``eigvalsh``: the mixtures
-for the current placement and every exchange are stacked by one fancy
-index, and the pending graph's Gibbs state is built once per pending set,
-reused across the swaps that erase nothing.
+A run evaluates each ``(pending set, placement)`` state once. The
+divergences depend only on the pending graph's Gibbs state, the
+subgraph's and the placement, and the first two are fixed until an
+erasure; so the move chosen from a placement is kept until an erasure
+changes the pending set. A fresh state costs one gather, which stacks the
+mixtures for the placement and every exchange, and one batched
+``eigvalsh``; the pending graph's Gibbs state is built once per pending
+set. A revisit reuses the floats a fresh evaluation would return, for
+the cost of a dict lookup.
+
+A revisit is a cycle. The move from a state depends on the state alone
+and the pending set only shrinks, so a run that comes back to a state
+erases nothing from then on: it repeats the same moves until its stall
+budget or the iteration cap ends it, stalled. The usual case is a forced
+swap A -> B answered by the improving swap B -> A. The run still walks
+the cycle to its end, so its ``m`` and trace do not depend on the memo.
 """
 
 from __future__ import annotations
@@ -167,6 +179,7 @@ def swap_uncomplexity(
     stalled = False
     iterations = 0
     rho = None  # the pending graph's Gibbs state, rebuilt when an erasure changes it
+    moves = {}  # placement -> (best_i, qjsd1, best_val, next placement) for this pending set
 
     while remaining:
         iterations += 1
@@ -174,13 +187,14 @@ def swap_uncomplexity(
             steps.append(StallStep("iteration cap reached"))
             stalled = True
             break
-        if rho is None:
-            rho = _gibbs(Graph(graph.n, remaining), beta)
-        swapped = exchanges(pos, sub)
-        values = _divergences(rho, sigma, [pos] + swapped)
-        qjsd1 = float(values[0])
-        best_i = int(np.argmin(values[1:]))  # first minimum = smallest edge
-        best_val = float(values[1 + best_i])
+        if pos not in moves:
+            if rho is None:
+                rho = _gibbs(Graph(graph.n, remaining), beta)
+            swapped = exchanges(pos, sub)
+            values = _divergences(rho, sigma, [pos] + swapped)
+            best_i = int(np.argmin(values[1:]))  # first minimum = smallest edge
+            moves[pos] = (best_i, float(values[0]), float(values[1 + best_i]), swapped[best_i])
+        best_i, qjsd1, best_val, next_pos = moves[pos]
         forced = not best_val < qjsd1 - EPS_IMP  # a NaN divergence forces too
         if forced:
             if budget <= 0:
@@ -189,13 +203,14 @@ def swap_uncomplexity(
                 break
             budget -= 1
             steps.append(StallStep("no improving swap; applying least-bad candidate"))
-        pos = swapped[best_i]
+        pos = next_pos
         m += 1
         steps.append(SwapStep(sub.edge_list[best_i], qjsd1, best_val, forced))
         still = pending_interactions(remaining, pos, sub.edges)
         if still != remaining:
             steps.append(EraseStep(tuple(sorted(remaining - still))))
             remaining, rho = still, None
+            moves.clear()
 
     return m, AlgoTrace(tuple(steps), beta, m, stalled, iterations)
 

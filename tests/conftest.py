@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
 from swapbound.circuits import Circuit, interaction_graph
-from swapbound.graphs import Graph, is_connected
+from swapbound.graphs import Graph, is_connected, normalize_edge
 
 
 # --- named small graphs -------------------------------------------------
@@ -122,3 +123,36 @@ def gibbs_probs(laplacian_eigenvalues, beta: float):
     shifted = [math.exp(-beta * (x - min(laplacian_eigenvalues))) for x in laplacian_eigenvalues]
     z = sum(shifted)
     return [x / z for x in shifted]
+
+
+# --- test-only helpers the pipeline never calls ------------------------------
+
+
+def relabel(g: Graph, mapping) -> Graph:
+    """Graph with vertex i renamed to ``mapping[i]`` (a bijection on [0,n))."""
+    assert sorted(mapping) == list(range(g.n)), "mapping is not a bijection"
+    return Graph(g.n, frozenset(normalize_edge(mapping[u], mapping[v]) for u, v in g.edges))
+
+
+def serialize_circuit(circuit: Circuit) -> str:
+    """Circuit JSON that ``parse_circuit_json`` reads back."""
+    return json.dumps(
+        {
+            "name": circuit.name,
+            "qubits": circuit.num_qubits,
+            "gates": [list(g) for g in circuit.two_qubit_gates],
+        },
+        indent=2,
+    )
+
+
+def serialize_device(spec) -> str:
+    """Device JSON that ``parse_device`` reads back, up to edge ordering."""
+    return json.dumps(
+        {
+            "name": spec.name,
+            "num_qubits": spec.num_qubits,
+            "edges": [list(e) for e in spec.coupling.edge_list],
+        },
+        indent=2,
+    )

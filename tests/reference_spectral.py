@@ -15,8 +15,10 @@ import numpy as np
 
 from swapbound.assignment import Assignment, pending_interactions
 from swapbound.errors import NumericalError, ValidationError
-from swapbound.graphs import Graph, relabel
+from swapbound.graphs import Graph
 from swapbound.spectral import check_beta, entropy_of_probs, gibbs_weights, laplacian
+
+from conftest import relabel
 
 TRACE_TOL = 1e-12
 EIG_FLOOR = -1e-10

@@ -6,10 +6,10 @@ from swapbound.circuits import (
     parse_circuit_json,
     parse_circuit_qasm_subset,
     parse_device,
-    serialize_circuit,
-    serialize_device,
 )
 from swapbound.errors import ParseError, UnsupportedError, ValidationError
+
+from conftest import serialize_circuit, serialize_device
 
 
 def test_parse_circuit_minimal():

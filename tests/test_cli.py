@@ -476,8 +476,12 @@ def test_bench_row_matches_compute_bound():
         ), circuit_path.name
 
 
+def _golden_case(circuit, device, suffix, command, code=0):
+    return pytest.param(circuit, device, suffix, command, code, id=f"{circuit}@{device}:{suffix}")
+
+
 CLI_GOLDEN_CASES = [
-    pytest.param(circuit, device, suffix, command, id=f"{circuit}@{device}:{suffix}")
+    _golden_case(circuit, device, suffix, command)
     for circuit, device in (("paw4", "tshape7"), ("chain6_repeats", "grid2x4"))
     for suffix, command in (
         ("bound.json", ["bound"]),
@@ -485,6 +489,15 @@ CLI_GOLDEN_CASES = [
         ("bound.csv", ["bound", "--format", "csv"]),
         ("sweep.csv", ["sweep"]),
     )
+] + [
+    # stalled runs: 42 and 36 of the 99 betas stall, and at beta = 100 the
+    # single run walks forced swaps until its stall budget runs out (exit 2)
+    _golden_case("complete4", "tshape7", "sweep.csv", ["sweep"]),
+    _golden_case("ring5", "line5", "sweep.csv", ["sweep"]),
+    _golden_case("ring5", "line5", "bound_beta100.json", ["bound", "--beta", "100"], code=2),
+    # runs that come back after an erasure to a placement they evaluated
+    # under the larger pending set (5 stalled betas)
+    _golden_case("complete4", "line5", "sweep.csv", ["sweep"]),
 ]
 
 
@@ -499,8 +512,8 @@ def _pop_divergences(doc: dict) -> list[float]:
     return values
 
 
-@pytest.mark.parametrize("circuit, device, suffix, command", CLI_GOLDEN_CASES)
-def test_cli_output_matches_golden(capsys, circuit, device, suffix, command):
+@pytest.mark.parametrize("circuit, device, suffix, command, expected_code", CLI_GOLDEN_CASES)
+def test_cli_output_matches_golden(capsys, circuit, device, suffix, command, expected_code):
     # every byte is pinned except the trace's divergences, which another
     # LAPACK build may round differently
     code, out, err = run_cli(
@@ -510,7 +523,7 @@ def test_cli_output_matches_golden(capsys, circuit, device, suffix, command):
         "--device", str(FIXTURES / f"{device}.json"),
         *command[1:],
     )
-    assert (code, err) == (0, "")
+    assert (code, err) == (expected_code, "")
     golden = (GOLDEN / "cli" / f"{circuit}_{device}_{suffix}").read_text()
     if suffix.endswith(".csv"):
         assert out == golden

@@ -11,7 +11,6 @@ from swapbound.graphs import (
     graph_diameter,
     induced_subgraph,
     is_connected,
-    relabel,
 )
 
 from conftest import (
@@ -20,6 +19,7 @@ from conftest import (
     complete_graph,
     cycle_graph,
     path_graph,
+    relabel,
     star_graph,
 )
 

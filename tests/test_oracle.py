@@ -7,7 +7,7 @@ import pytest
 from swapbound.assignment import Assignment, assign_qubits, pending_interactions
 from swapbound.circuits import Circuit, interaction_graph
 from swapbound.errors import SizeGuardError
-from swapbound.graphs import Edge, Graph, normalize_edge, relabel
+from swapbound.graphs import Edge, Graph, normalize_edge
 from swapbound.oracle import (
     _min_swaps,
     _SwapFloor,
@@ -20,6 +20,7 @@ from conftest import (
     cycle_graph,
     path_graph,
     random_connected_graph,
+    relabel,
     star_graph,
 )
 from reference_spectral import remove_trivial_edges

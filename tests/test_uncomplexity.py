@@ -4,7 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from swapbound.assignment import Assignment, assign_qubits, exchanges, max_swap_bound
+from swapbound.assignment import (
+    Assignment,
+    assign_qubits,
+    exchanges,
+    max_swap_bound,
+    pending_interactions,
+)
 from swapbound.circuits import Circuit, interaction_graph
 from swapbound.errors import SweepError, ValidationError
 from swapbound.graphs import Graph
@@ -24,6 +30,7 @@ from swapbound.uncomplexity import (
 
 from conftest import (
     complete_graph,
+    cycle_graph,
     gibbs_probs,
     path_graph,
     random_connected_graph,
@@ -183,31 +190,54 @@ def test_trace_divergences_match_public_route():
         cg = random_connected_graph(rng, int(rng.integers(k, 8)), 0.15)
         a = assign_qubits(ig, cg).assignment
         beta = float(rng.choice([1e-3, 0.1, 1.0]))
-        _, trace = swap_uncomplexity(ig, a, beta)
-        current = a
-        remaining = remove_trivial_edges(ig.graph, a)
-        for step in trace.steps:
-            if isinstance(step, SwapStep):
-                expected = aligned_qjsd(remaining, current, beta)
-                assert step.qjsd_before == pytest.approx(expected, abs=1e-10)
-                # exchange the IG vertices sitting on the swapped subgraph edge
-                ig_to_cg = list(current.ig_to_cg)
-                pos = current.positions()
-                u, v = pos.index(step.edge[0]), pos.index(step.edge[1])
-                ig_to_cg[u], ig_to_cg[v] = ig_to_cg[v], ig_to_cg[u]
-                current = Assignment.build(cg, ig_to_cg)
-                assert step.qjsd_after == pytest.approx(
-                    aligned_qjsd(remaining, current, beta), abs=1e-10
-                )
-                replayed += 1
-            elif isinstance(step, EraseStep):
-                remaining = Graph(remaining.n, remaining.edges - set(step.edges))
-        if not trace.stalled:
-            assert remaining.num_edges() == 0
+        replayed += _replay_through_reference(ig, cg, a, beta)
     assert replayed > 10
 
 
+def _replay_through_reference(ig, cg, a, beta) -> int:
+    """Check every swap's divergences in the run's trace; returns the swaps checked."""
+    _, trace = swap_uncomplexity(ig, a, beta)
+    current = a
+    remaining = remove_trivial_edges(ig.graph, a)
+    replayed = 0
+    for step in trace.steps:
+        if isinstance(step, SwapStep):
+            expected = aligned_qjsd(remaining, current, beta)
+            assert step.qjsd_before == pytest.approx(expected, abs=1e-10)
+            # exchange the IG vertices sitting on the swapped subgraph edge
+            ig_to_cg = list(current.ig_to_cg)
+            pos = current.positions()
+            u, v = pos.index(step.edge[0]), pos.index(step.edge[1])
+            ig_to_cg[u], ig_to_cg[v] = ig_to_cg[v], ig_to_cg[u]
+            current = Assignment.build(cg, ig_to_cg)
+            assert step.qjsd_after == pytest.approx(
+                aligned_qjsd(remaining, current, beta), abs=1e-10
+            )
+            replayed += 1
+        elif isinstance(step, EraseStep):
+            remaining = Graph(remaining.n, remaining.edges - set(step.edges))
+    if not trace.stalled:
+        assert remaining.num_edges() == 0
+    return replayed
+
+
+def test_a_placement_met_again_after_an_erasure_is_evaluated_afresh():
+    # K4 on P5 at beta = 70 comes back after an erasure to a placement it
+    # evaluated under the larger pending set; a move kept across the erasure
+    # would be stale, so the descent's memo must start empty after each one
+    ig, cg = ig_of(complete_graph(4)), path_graph(5)
+    a = assign_qubits(ig, cg).assignment
+    _, trace = swap_uncomplexity(ig, a, 70.0)
+    pending_sets = {}
+    for pending, pos in _states_evaluated(ig, a, trace):
+        pending_sets.setdefault(pos, set()).add(pending)
+    assert max(len(sets) for sets in pending_sets.values()) > 1
+    assert _replay_through_reference(ig, cg, a, 70.0) == trace.swap_count
+    assert not trace.stalled
+
+
 FORCING = StallStep("no improving swap; applying least-bad candidate")
+CAP = StallStep("iteration cap reached")
 
 
 def test_trace_grammar_of_the_single_swap_path():
@@ -265,28 +295,74 @@ def test_sweep_calls_go_through_the_traced_module_names(monkeypatch):
         "swapbound.uncomplexity.laplacian_spectrum", counted("spectra", laplacian_spectrum)
     )
     monkeypatch.setattr("numpy.linalg.eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
-    beta_sweep(ig_of(complete_graph(4)), Assignment.build(path_graph(4), (0, 1, 2, 3)))
-    iterations = sum(t.iterations for t in traces)
-    assert len(traces) == 99
-    assert iterations > 99
-    # the subgraph's spectrum once per run, the pending graph's once per pending
-    # set: on the first iteration and on each one after an erasure, never again
-    # after a swap that erased nothing
-    pending_sets = sum(_pending_sets_evaluated(t) for t in traces)
-    assert calls["spectra"] == 99 + pending_sets
-    assert calls["spectra"] < 99 + iterations
-    assert calls["eigvalsh"] == iterations
+    # K4@P4 never comes back to a state; C5@P5 walks forced-swap cycles
+    fixtures = [(complete_graph(4), path_graph(4), False), (cycle_graph(5), path_graph(5), True)]
+    for graph, cg, revisits in fixtures:
+        traces.clear()
+        calls.update(spectra=0, eigvalsh=0)
+        ig = ig_of(graph)
+        a = Assignment.build(cg, tuple(range(cg.n)))
+        beta_sweep(ig, a)
+        iterations = sum(t.iterations for t in traces)
+        assert len(traces) == 99
+        assert iterations > 99
+        evaluated = [set(_states_evaluated(ig, a, t)) for t in traces]
+        # the subgraph's spectrum once per run, the pending graph's once per
+        # pending set: on the first iteration and on each one after an erasure,
+        # never again after a swap that erased nothing
+        pending_sets = sum(len({pending for pending, _ in run}) for run in evaluated)
+        assert calls["spectra"] == 99 + pending_sets
+        assert calls["spectra"] < 99 + iterations
+        # one batch per distinct (pending set, placement) state a run evaluates;
+        # a revisited state reuses the move chosen on its first visit
+        states = sum(len(run) for run in evaluated)
+        assert calls["eigvalsh"] == states
+        assert (states < iterations) == revisits
 
 
-def _pending_sets_evaluated(trace) -> int:
-    """Iterations that evaluate a pending set no earlier iteration saw."""
-    count, fresh = 0, True
+def _states_evaluated(ig, a, trace) -> list:
+    """The ``(pending set, placement)`` state of every iteration that evaluates one.
+
+    Replayed from the trace: each swap is made from the state before it, and a
+    run that ends on its stall budget evaluates its last state first; the
+    iteration cap evaluates nothing.
+    """
+    sub = a.cg_subgraph
+    pos = a.positions()
+    remaining = pending_interactions(ig.graph.edges, pos, sub.edges)
+    states = []
     for step in trace.steps:
-        if isinstance(step, EraseStep):
-            fresh = True
-        elif fresh and step != StallStep("iteration cap reached"):  # the cap evaluates nothing
-            count, fresh = count + 1, False
-    return count
+        if isinstance(step, SwapStep):
+            states.append((remaining, pos))
+            x, y = step.edge
+            pos = tuple(y if p == x else x if p == y else p for p in pos)
+        elif isinstance(step, EraseStep):
+            remaining = remaining - set(step.edges)
+        elif step == StallStep("stall budget exhausted"):
+            states.append((remaining, pos))
+    return states
+
+
+def test_a_run_that_revisits_a_state_ends_stalled():
+    # The move from a state depends on the state alone, so a run that comes
+    # back to one (with no erasure between: the pending set only shrinks)
+    # repeats the same cycle until its stall budget or the iteration cap ends it.
+    rng = np.random.default_rng(149)
+    revisiting = 0
+    for _ in range(60):
+        k = int(rng.integers(3, 7))
+        ig = random_interaction_graph(rng, k)
+        cg = random_connected_graph(rng, int(rng.integers(k, 9)), 0.35)
+        a = assign_qubits(ig, cg).assignment
+        for beta in (1e-300, 1e-2, 1.0, 100.0):
+            for stall_budget in (None, 3):
+                _, trace = swap_uncomplexity(ig, a, beta, stall_budget=stall_budget)
+                states = _states_evaluated(ig, a, trace)
+                assert len(states) == trace.iterations - (trace.steps[-1:] == (CAP,))
+                if len(set(states)) < len(states):
+                    revisiting += 1
+                    assert trace.stalled
+    assert revisiting > 10
 
 
 def _ix_divergences(rho, sigma, placements):
