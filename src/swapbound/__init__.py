@@ -1,17 +1,6 @@
 """Swap-count bounds for mapping circuits onto constrained devices."""
 
-from .assignment import (
-    Assignment,
-    AssignmentResult,
-    GedResult,
-    SubgraphClass,
-    assign_qubits,
-    enumerate_connected_subgraph_classes,
-    graph_edit_distance,
-    max_swap_bound,
-    most_connected_subgraph,
-    vf2_embed,
-)
+from .assignment import Assignment, AssignmentResult, assign_qubits, max_swap_bound
 from .circuits import (
     Circuit,
     DeviceSpec,
@@ -30,7 +19,7 @@ from .errors import (
     UnsupportedError,
     ValidationError,
 )
-from .graphs import Graph, canonical_form, graph_diameter, induced_subgraph
+from .graphs import Graph
 from .oracle import brute_force_min_swaps, brute_force_over_assignments
 from .spectral import entropy_curve, laplacian
 from .uncomplexity import (

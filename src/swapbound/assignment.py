@@ -51,11 +51,6 @@ class Assignment:
         if not is_connected(self.cg_subgraph):
             raise ValidationError("chosen CG subgraph is disconnected")
 
-    @classmethod
-    def build(cls, cg: Graph, ig_to_cg: Sequence[int]) -> "Assignment":
-        nodes = tuple(sorted(ig_to_cg))
-        return cls(tuple(ig_to_cg), nodes, induced_subgraph(cg, nodes))
-
     def positions(self) -> tuple[int, ...]:
         """IG vertex -> subgraph label (index into cg_subgraph_nodes)."""
         index = {node: i for i, node in enumerate(self.cg_subgraph_nodes)}
@@ -87,9 +82,7 @@ def exchanges(pos: Sequence[int], sub: Graph) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class SubgraphClass:
-    canonical: tuple[int, int]
     representative_nodes: tuple[int, ...]
-    all_embeddings_count: int
     graph: Graph
 
 
@@ -135,28 +128,20 @@ def connected_subsets(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
 
 
 def _classes_from_subsets(cg: Graph, subsets: Sequence[tuple[int, ...]]) -> list[SubgraphClass]:
-    reps: dict[tuple[int, int], tuple[tuple[int, ...], Graph, int]] = {}
+    classes: dict[tuple[int, int], SubgraphClass] = {}
     for subset in subsets:
         sub = induced_subgraph(cg, subset)
-        key = canonical_form(sub)
-        if key in reps:
-            nodes, graph, count = reps[key]
-            reps[key] = (nodes, graph, count + 1)
-        else:
-            reps[key] = (subset, sub, 1)
-    classes = [
-        SubgraphClass(key, nodes, count, graph)
-        for key, (nodes, graph, count) in reps.items()
-    ]
-    classes.sort(key=lambda c: c.representative_nodes)
-    return classes
+        classes.setdefault(canonical_form(sub), SubgraphClass(subset, sub))
+    return sorted(classes.values(), key=lambda c: c.representative_nodes)
 
 
 def enumerate_connected_subgraph_classes(cg: Graph, k: int) -> list[SubgraphClass]:
     """One entry per isomorphism class of connected induced k-subgraphs.
 
-    The representative is the lexicographically smallest subset in its
-    class; ``all_embeddings_count`` counts the subsets collapsed into it.
+    The representative is the first subset of its class in
+    ``connected_subsets`` order, which need not be the smallest: on the path
+    2-0-3-1 at k = 3 it is ``(0, 2, 3)``, not ``(0, 1, 3)``. Entries are
+    sorted by representative.
     """
     return _classes_from_subsets(cg, list(connected_subsets(cg, k)))
 
@@ -330,7 +315,8 @@ def assign_qubits(
 
     Monomorphism first (GED 0); otherwise exact similarity search over
     connected-subgraph classes (minimal GED; ties prefer subgraphs with
-    more edges, then the lexicographically smallest node set). Complete
+    more edges, then the smallest class representative, see
+    :func:`enumerate_connected_subgraph_classes`). Complete
     interaction graphs and enumerations exceeding ``class_budget`` subsets
     use the greedy dense shortcut instead; its reported GED is exact for
     complete IGs and an upper bound otherwise.

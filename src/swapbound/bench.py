@@ -52,10 +52,6 @@ BENCH_COLUMNS = [f.name for f in fields(BenchRow)]
 BENCH_COLUMNS += ["u_swap_norm", "m_swap_max_norm", "oracle_norm"]  # sum-normalized, from rows_to_csv
 
 
-def fmt_float(x: float) -> str:
-    return f"{x:.15g}"
-
-
 def format_cell(value) -> str:
     """One CSV cell, in double quotes when it holds a comma, quote or line break (RFC 4180)."""
     if value is None:
@@ -63,7 +59,7 @@ def format_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return fmt_float(value)
+        return f"{value:.15g}"
     text = str(value)
     if any(c in text for c in ',"\r\n'):
         return '"' + text.replace('"', '""') + '"'
@@ -179,33 +175,24 @@ def pearson(xs: list[float], ys: list[float]) -> float:
 
 
 def correlation_csv(rows: list[BenchRow]) -> str:
-    """Pearson matrix over the bound columns, oracle included when present."""
-    columns: dict[str, list[float]] = {"u_swap": [], "m_swap_max": []}
-    with_oracle = [r for r in rows if r.oracle is not None and r.u_swap is not None]
+    """Pearson matrix over the bound columns, oracle included when present.
+
+    A cell that involves the oracle pairs the rows that have one; the other
+    cells pair every row that has a bound.
+    """
     complete = [r for r in rows if r.u_swap is not None]
-    for r in complete:
-        columns["u_swap"].append(float(r.u_swap))
-        columns["m_swap_max"].append(float(r.m_swap_max))
-    names = ["u_swap", "m_swap_max"]
-    if with_oracle:
-        names.append("oracle")
+    with_oracle = [r for r in complete if r.oracle is not None]
+    names = ["u_swap", "m_swap_max"] + (["oracle"] if with_oracle else [])
     table = []
     for a in names:
         cells = [a]
         for b in names:
-            if "oracle" in (a, b):
-                xs = [_col(r, a) for r in with_oracle]
-                ys = [_col(r, b) for r in with_oracle]
-            else:
-                xs = columns[a]
-                ys = columns[b]
-            cells.append(pearson(xs, ys) if xs else None)
+            pool = with_oracle if "oracle" in (a, b) else complete
+            xs = [float(getattr(r, a)) for r in pool]
+            ys = [float(getattr(r, b)) for r in pool]
+            cells.append(pearson(xs, ys) if pool else None)
         table.append(cells)
     return csv_text(["metric"] + names, table)
-
-
-def _col(row: BenchRow, name: str) -> float:
-    return float(getattr(row, name))
 
 
 def beta_histogram(rows: list[BenchRow], grid: tuple[float, ...]) -> list[tuple[float, int]]:
@@ -214,10 +201,6 @@ def beta_histogram(rows: list[BenchRow], grid: tuple[float, ...]) -> list[tuple[
         if r.beta_star is not None and r.beta_star in counts:
             counts[r.beta_star] += 1
     return [(b, counts[b]) for b in grid]
-
-
-def histogram_csv(hist: list[tuple[float, int]]) -> str:
-    return csv_text(["beta", "count"], hist)
 
 
 def bench_summary(rows: list[BenchRow], grid: tuple[float, ...]) -> dict:

@@ -91,6 +91,13 @@ def _load_json(text: bytes | str) -> dict:
     return doc
 
 
+def _name(doc: dict) -> str:
+    name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise ParseError("'name' must be a string")
+    return name
+
+
 def _gate_pairs(raw, num_qubits: int) -> list[Edge]:
     gates = []
     for entry in raw:
@@ -117,11 +124,8 @@ def parse_circuit_json(text: bytes | str) -> Circuit:
         raise ParseError("'qubits' must be a non-negative integer")
     if not isinstance(doc["gates"], list):
         raise ParseError("'gates' must be a list of pairs")
-    name = doc.get("name", "")
-    if not isinstance(name, str):
-        raise ParseError("'name' must be a string")
     gates = _gate_pairs(doc["gates"], num_qubits)
-    return Circuit(num_qubits, tuple(gates), name)
+    return Circuit(num_qubits, tuple(gates), _name(doc))
 
 
 _QREG_RE = re.compile(r"^qreg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")
@@ -186,7 +190,7 @@ def parse_device(text: bytes | str) -> DeviceSpec:
         raise ParseError("'num_qubits' must be a positive integer")
     if not isinstance(doc["edges"], list):
         raise ParseError("'edges' must be a list of pairs")
-    name = doc.get("name", "")
+    name = _name(doc)
     edges = set()
     for entry in doc["edges"]:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:

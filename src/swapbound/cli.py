@@ -17,7 +17,6 @@ from .bench import (
     beta_histogram,
     correlation_csv,
     csv_text,
-    histogram_csv,
     load_manifest,
     read_circuit_file,
     read_device_file,
@@ -73,10 +72,13 @@ def report_to_json(report: BoundReport, circuit_name: str, device_name: str) -> 
     return doc
 
 
-def report_to_csv(report: BoundReport, circuit_name: str, device_name: str) -> str:
-    doc = report_to_json(report, circuit_name, device_name)
-    header = ["circuit", "device", "u_swap", "beta_star", "m_swap_max", "ged", "stalled", "method"]
-    return csv_text(header, [[doc[h] for h in header]])
+def _write(doc: dict, fmt: str, csv_header: list[str]) -> None:
+    """``doc`` as indented JSON, or as one CSV row of its ``csv_header`` fields."""
+    if fmt == "csv":
+        sys.stdout.write(csv_text(csv_header, [[doc[h] for h in csv_header]]))
+    else:
+        json.dump(doc, sys.stdout, indent=2)
+        sys.stdout.write("\n")
 
 
 def _load_pair(args):
@@ -95,11 +97,11 @@ def cmd_bound(args) -> int:
         class_budget=args.class_budget,
         stall_budget=args.stall_budget,
     )
-    if args.format == "csv":
-        sys.stdout.write(report_to_csv(report, circuit.name, device.name))
-    else:
-        json.dump(report_to_json(report, circuit.name, device.name), sys.stdout, indent=2)
-        sys.stdout.write("\n")
+    _write(
+        report_to_json(report, circuit.name, device.name),
+        args.format,
+        ["circuit", "device", "u_swap", "beta_star", "m_swap_max", "ged", "stalled", "method"],
+    )
     return EXIT_STALL if report.stalled else EXIT_OK
 
 
@@ -117,12 +119,7 @@ def cmd_assign(args) -> int:
         "cg_subgraph_edges": [list(e) for e in a.cg_subgraph.edge_list],
         "m_swap_max": max_swap_bound(ig, a),
     }
-    if args.format == "csv":
-        header = ["circuit", "device", "ged", "method", "m_swap_max"]
-        sys.stdout.write(csv_text(header, [[doc[h] for h in header]]))
-    else:
-        json.dump(doc, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+    _write(doc, args.format, ["circuit", "device", "ged", "method", "m_swap_max"])
     return EXIT_OK
 
 
@@ -130,23 +127,18 @@ def cmd_oracle(args) -> int:
     circuit, device, ig = _load_pair(args)
     if args.all_assignments:
         count, assignment = brute_force_over_assignments(ig.graph, device.coupling)
-        doc = {
-            "circuit": circuit.name,
-            "device": device.name,
-            "min_swaps": count,
-            "ig_to_cg": list(assignment.ig_to_cg),
-            "scope": "all-assignments",
-        }
+        scope = "all-assignments"
     else:
-        placed = assign_qubits(ig, device.coupling)
-        count = brute_force_min_swaps(ig.graph, placed.assignment)
-        doc = {
-            "circuit": circuit.name,
-            "device": device.name,
-            "min_swaps": count,
-            "ig_to_cg": list(placed.assignment.ig_to_cg),
-            "scope": "pipeline-assignment",
-        }
+        assignment = assign_qubits(ig, device.coupling).assignment
+        count = brute_force_min_swaps(ig.graph, assignment)
+        scope = "pipeline-assignment"
+    doc = {
+        "circuit": circuit.name,
+        "device": device.name,
+        "min_swaps": count,
+        "ig_to_cg": list(assignment.ig_to_cg),
+        "scope": scope,
+    }
     json.dump(doc, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return EXIT_OK
@@ -172,17 +164,17 @@ def cmd_curve(args) -> int:
 def cmd_bench(args) -> int:
     pairs = load_manifest(Path(args.manifest))
     rows = run_manifest(pairs)
-    csv_text = rows_to_csv(rows)
-    sys.stdout.write(csv_text)
+    rows_csv = rows_to_csv(rows)
+    sys.stdout.write(rows_csv)
     grid = standard_beta_grid()
-    hist = beta_histogram(rows, grid)
     summary = bench_summary(rows, grid)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "bench_rows.csv").write_text(csv_text)
+        (out / "bench_rows.csv").write_text(rows_csv)
         (out / "bench_correlation.csv").write_text(correlation_csv(rows))
-        (out / "bench_beta_histogram.csv").write_text(histogram_csv(hist))
+        hist = beta_histogram(rows, grid)
+        (out / "bench_beta_histogram.csv").write_text(csv_text(["beta", "count"], hist))
         (out / "bench_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     sys.stderr.write(json.dumps(summary, indent=2) + "\n")
     if summary["failed_rows"]:
@@ -205,10 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bound = sub.add_parser("bound", help="assignment, swept lower bound and max bound")
     add_pair(p_bound)
-    group = p_bound.add_mutually_exclusive_group()
-    group.add_argument("--beta", type=float, default=None, help="single inverse temperature")
-    group.add_argument(
-        "--sweep", action="store_true", help="sweep the standard grid (default)"
+    p_bound.add_argument(
+        "--beta",
+        type=float,
+        help="single inverse temperature (default: sweep the standard grid)",
     )
     p_bound.add_argument("--format", choices=["json", "csv"], default="json")
     p_bound.add_argument("--stall-budget", type=int)

@@ -1,8 +1,8 @@
 """Simple undirected graphs on dense vertex ranges.
 
 Vertices are integers in ``[0, n)``. Edges are unordered pairs without
-self-loops or duplicates; every constructor normalizes to ``(min, max)``
-tuples so that edge iteration order is deterministic.
+self-loops or duplicates, stored as ``(min, max)`` tuples so that edge
+iteration order is deterministic.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ValidationError
 
@@ -36,17 +36,6 @@ class Graph:
                 raise ValidationError(f"self-loop on vertex {u}")
             if not (0 <= u < v < self.n):
                 raise ValidationError(f"edge ({u},{v}) out of range for n={self.n}")
-
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "Graph":
-        """Build a graph, normalizing edge direction and dropping duplicates."""
-        normalized = set()
-        for e in edges:
-            u, v = int(e[0]), int(e[1])
-            if u == v:
-                raise ValidationError(f"self-loop on vertex {u}")
-            normalized.add(normalize_edge(u, v))
-        return cls(n, frozenset(normalized))
 
     @cached_property
     def edge_list(self) -> tuple[Edge, ...]:
@@ -76,31 +65,6 @@ class Graph:
         return len(self.edges) == self.n * (self.n - 1) // 2
 
 
-def connected_components(g: Graph) -> list[list[int]]:
-    """Components as sorted vertex lists, ordered by smallest member."""
-    seen = [False] * g.n
-    comps = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        queue = deque([start])
-        seen[start] = True
-        comp = []
-        while queue:
-            u = queue.popleft()
-            comp.append(u)
-            for w in g.adjacency[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-        comps.append(sorted(comp))
-    return comps
-
-
-def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(connected_components(g)) == 1
-
-
 def bfs_distances(g: Graph, source: int) -> list[int]:
     """Hop counts from ``source``; unreachable vertices get -1."""
     dist = [-1] * g.n
@@ -113,6 +77,20 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
                 dist[w] = dist[u] + 1
                 queue.append(w)
     return dist
+
+
+def connected_components(g: Graph) -> list[list[int]]:
+    """Components as sorted vertex lists, ordered by smallest member."""
+    comps: list[list[int]] = []
+    for start in range(g.n):
+        if all(start not in c for c in comps):
+            dist = bfs_distances(g, start)
+            comps.append([v for v in range(g.n) if dist[v] >= 0])
+    return comps
+
+
+def is_connected(g: Graph) -> bool:
+    return g.n <= 1 or min(bfs_distances(g, 0)) >= 0
 
 
 def graph_diameter(g: Graph) -> int:

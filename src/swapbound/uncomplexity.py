@@ -93,7 +93,11 @@ class AlgoTrace:
     beta: float
     swap_count: int
     stalled: bool
-    iterations: int = 0
+
+    @property
+    def iterations(self) -> int:
+        """Loop iterations: every swap, plus the one that ended a stalled run."""
+        return self.swap_count + self.stalled
 
 
 @dataclass(frozen=True)
@@ -177,13 +181,11 @@ def swap_uncomplexity(
     budget = stall_budget if stall_budget is not None else max_swap_bound(ig, a)
     max_iterations = budget + len(remaining) * max(len(sub.edge_list), 1)
     stalled = False
-    iterations = 0
     rho = None  # the pending graph's Gibbs state, rebuilt when an erasure changes it
     moves = {}  # placement -> (best_i, qjsd1, best_val, next placement) for this pending set
 
     while remaining:
-        iterations += 1
-        if iterations > max_iterations:
+        if m >= max_iterations:
             steps.append(StallStep("iteration cap reached"))
             stalled = True
             break
@@ -212,7 +214,7 @@ def swap_uncomplexity(
             remaining, rho = still, None
             moves.clear()
 
-    return m, AlgoTrace(tuple(steps), beta, m, stalled, iterations)
+    return m, AlgoTrace(tuple(steps), beta, m, stalled)
 
 
 def beta_sweep(

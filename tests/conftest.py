@@ -9,37 +9,38 @@ import math
 import numpy as np
 import pytest
 
+from swapbound.assignment import Assignment
 from swapbound.circuits import Circuit, interaction_graph
-from swapbound.graphs import Graph, is_connected, normalize_edge
+from swapbound.graphs import Graph, induced_subgraph, is_connected, normalize_edge
 
 
 # --- named small graphs -------------------------------------------------
 
 def path_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph.from_edges(n, itertools.combinations(range(n), 2))
+    return graph_from_edges(n, itertools.combinations(range(n), 2))
 
 
 def star_graph(n: int) -> Graph:
     """Hub at vertex 0 with n-1 leaves."""
-    return Graph.from_edges(n, [(0, i) for i in range(1, n)])
+    return graph_from_edges(n, [(0, i) for i in range(1, n)])
 
 
 def cycle_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 @pytest.fixture
 def tshape7() -> Graph:
-    return Graph.from_edges(7, [(0, 1), (1, 2), (1, 3), (3, 5), (4, 5), (5, 6)])
+    return graph_from_edges(7, [(0, 1), (1, 2), (1, 3), (3, 5), (4, 5), (5, 6)])
 
 
 @pytest.fixture
 def paw4() -> Graph:
-    return Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3)])
+    return graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3)])
 
 
 # --- exhaustive enumerations --------------------------------------------
@@ -49,7 +50,7 @@ def all_graphs(n: int):
     pairs = list(itertools.combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
         edges = [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
-        yield Graph.from_edges(n, edges)
+        yield graph_from_edges(n, edges)
 
 
 def connected_graphs(n: int):
@@ -91,7 +92,7 @@ def random_connected_graph(rng: np.random.Generator, n: int, extra_prob: float =
         for v in range(u + 1, n):
             if (u, v) not in edges and rng.random() < extra_prob:
                 edges.add((u, v))
-    return Graph.from_edges(n, edges)
+    return graph_from_edges(n, edges)
 
 
 def random_circuit(rng: np.random.Generator, n: int) -> Circuit:
@@ -126,6 +127,17 @@ def gibbs_probs(laplacian_eigenvalues, beta: float):
 
 
 # --- test-only helpers the pipeline never calls ------------------------------
+
+
+def graph_from_edges(n: int, edges) -> Graph:
+    """Graph on ``n`` vertices; edges may come in either direction and repeat."""
+    return Graph(n, frozenset(normalize_edge(int(u), int(v)) for u, v in edges))
+
+
+def build_assignment(cg: Graph, ig_to_cg) -> Assignment:
+    """IG vertex ``i`` on device node ``ig_to_cg[i]``, on the induced subgraph."""
+    nodes = tuple(sorted(ig_to_cg))
+    return Assignment(tuple(ig_to_cg), nodes, induced_subgraph(cg, nodes))
 
 
 def relabel(g: Graph, mapping) -> Graph:

@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 
 from swapbound.assignment import (
-    Assignment,
     assign_qubits,
     enumerate_connected_subgraph_classes,
     graph_edit_distance,
@@ -31,9 +30,11 @@ from swapbound.uncomplexity import (
 
 from conftest import (
     all_graphs,
+    build_assignment,
     connected_graphs,
     cycle_graph,
     exhaustive_ged,
+    graph_from_edges,
     random_circuit,
     random_connected_graph,
     random_density,
@@ -107,7 +108,7 @@ def _grown_tree_instance(rng):
     k = int(rng.integers(3, 7))
     n = k + int(rng.integers(1, 4))
     ig_edges = [(int(rng.integers(0, i)), i) for i in range(1, k)]
-    ig = Graph.from_edges(k, ig_edges)
+    ig = graph_from_edges(k, ig_edges)
     placement = [int(x) for x in rng.permutation(n)]
     planted, others = placement[:k], placement[k:]
     edges = {tuple(sorted((planted[u], planted[v]))) for u, v in ig.edges}
@@ -116,7 +117,7 @@ def _grown_tree_instance(rng):
         anchor = attached[int(rng.integers(0, len(attached)))]
         edges.add(tuple(sorted((o, anchor))))
         attached.append(o)
-    return ig, Graph.from_edges(n, edges)
+    return ig, graph_from_edges(n, edges)
 
 
 def _planted_instance(rng):
@@ -132,7 +133,7 @@ def _planted_instance(rng):
         anchor = attached[int(rng.integers(0, len(attached)))]
         edges.add(tuple(sorted((o, anchor))))
         attached.append(o)
-    return ig, Graph.from_edges(n, edges)
+    return ig, graph_from_edges(n, edges)
 
 
 def _every_spanning_host_is_exact(ig: Graph, cg: Graph) -> bool:
@@ -266,12 +267,12 @@ def test_acceptance_6_oracle_cross_validation():
             assert graph_edit_distance(g, h).distance == exhaustive_ged(g, h)
             pairs_checked += 1
 
-    p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    assert brute_force_min_swaps(p4, Assignment.build(p4, (0, 1, 2, 3))) == 0
+    p4 = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    assert brute_force_min_swaps(p4, build_assignment(p4, (0, 1, 2, 3))) == 0
     star = star_graph(4)
-    assert brute_force_min_swaps(star, Assignment.build(p4, (1, 0, 2, 3))) == 1
-    k4 = Graph.from_edges(4, itertools.combinations(range(4), 2))
-    assert brute_force_min_swaps(k4, Assignment.build(p4, (0, 1, 2, 3))) == 3
+    assert brute_force_min_swaps(star, build_assignment(p4, (1, 0, 2, 3))) == 1
+    k4 = graph_from_edges(4, itertools.combinations(range(4), 2))
+    assert brute_force_min_swaps(k4, build_assignment(p4, (0, 1, 2, 3))) == 3
     report(f"ACCEPTANCE 6 oracle cross-validation ({pairs_checked} pairs, 0/1/3): PASS")
 
 
@@ -305,7 +306,7 @@ def test_acceptance_8_beta_distribution_report():
 def _per_iteration_cost(n: int) -> float:
     ig = interaction_graph(Circuit(n, tuple((0, i) for i in range(1, n))))
     ring = cycle_graph(n)
-    a = Assignment.build(ring, tuple(range(n)))
+    a = build_assignment(ring, tuple(range(n)))
     best = math.inf
     for _ in range(3):
         t0 = time.perf_counter()

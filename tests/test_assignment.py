@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from swapbound.assignment import (
-    Assignment,
     assign_qubits,
     connected_subsets,
     enumerate_connected_subgraph_classes,
@@ -19,9 +18,11 @@ from swapbound.graphs import Graph, canonical_form, induced_subgraph, is_connect
 
 from conftest import (
     all_graphs,
+    build_assignment,
     complete_graph,
     cycle_graph,
     exhaustive_ged,
+    graph_from_edges,
     path_graph,
     random_connected_graph,
     star_graph,
@@ -57,9 +58,13 @@ def test_class_counts_cover_all_subsets(tshape7):
     for k in range(1, 8):
         classes = enumerate_connected_subgraph_classes(tshape7, k)
         subsets = list(connected_subsets(tshape7, k))
-        assert sum(c.all_embeddings_count for c in classes) == len(subsets)
+        class_keys = [canonical_form(c.graph) for c in classes]
+        assert len(set(class_keys)) == len(class_keys)  # one entry per class
         keys = {canonical_form(induced_subgraph(tshape7, s)) for s in subsets}
-        assert keys == {c.canonical for c in classes}
+        assert keys == set(class_keys)  # and every subset falls in one
+        for c in classes:
+            assert c.representative_nodes in subsets
+            assert c.graph == induced_subgraph(tshape7, c.representative_nodes)
 
 
 def test_tshape_k4_has_exactly_two_classes(tshape7):
@@ -126,7 +131,7 @@ def test_vf2_finds_planted_embedding_always():
             anchor = attached[int(rng.integers(0, len(attached)))]
             edges.add(tuple(sorted((o, anchor))))
             attached.append(o)
-        host = Graph.from_edges(n, edges)
+        host = graph_from_edges(n, edges)
         assert vf2_embed(pattern, host) is not None
 
 
@@ -251,7 +256,7 @@ def test_assign_class_budget_forces_dense(tshape7, paw4):
 def grid_graph(rows: int, cols: int) -> Graph:
     edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
     edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
-    return Graph.from_edges(rows * cols, edges)
+    return graph_from_edges(rows * cols, edges)
 
 
 @pytest.mark.parametrize(
@@ -265,7 +270,7 @@ def grid_graph(rows: int, cols: int) -> Graph:
 def test_assign_ring_chord_on_grid_ladder(k, ged, ig_to_cg):
     # The chord (0, 2) closes an odd cycle, so nothing embeds in the bipartite
     # grid and every connected k-subset of the 4x4 grid gets classed.
-    ring_chord = Graph.from_edges(k, [(i, (i + 1) % k) for i in range(k)] + [(0, 2)])
+    ring_chord = graph_from_edges(k, [(i, (i + 1) % k) for i in range(k)] + [(0, 2)])
     res = assign_qubits(ig_of(ring_chord), grid_graph(4, 4))
     assert (res.method, res.ged, res.assignment.ig_to_cg) == ("similarity", ged, ig_to_cg)
 
@@ -318,17 +323,17 @@ def test_most_connected_matches_exhaustive_edge_count():
 
 def test_max_swap_bound_formula():
     ig = ig_of(complete_graph(4))  # 6 unit-multiplicity gates
-    a = Assignment.build(path_graph(4), (0, 1, 2, 3))
+    a = build_assignment(path_graph(4), (0, 1, 2, 3))
     assert max_swap_bound(ig, a) == 6 * (3 - 1)
 
 
 def test_max_swap_bound_complete_subgraph_is_zero():
     ig = ig_of(complete_graph(3))
-    a = Assignment.build(complete_graph(3), (0, 1, 2))
+    a = build_assignment(complete_graph(3), (0, 1, 2))
     assert max_swap_bound(ig, a) == 0
 
 
 def test_max_swap_bound_counts_multiplicity():
     ig = ig_of(path_graph(3), repeats={(0, 1): 2})  # 3 gates over 2 edges
-    a = Assignment.build(path_graph(3), (0, 1, 2))
+    a = build_assignment(path_graph(3), (0, 1, 2))
     assert max_swap_bound(ig, a) == 3 * (2 - 1)

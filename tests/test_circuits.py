@@ -59,6 +59,20 @@ def test_non_utf8_input_is_a_parse_error(parse):
         parse(b'{"name": "caf\xe9"}')
 
 
+@pytest.mark.parametrize(
+    "parse, fields",
+    [
+        (parse_circuit_json, '"qubits": 2, "gates": [[0, 1]]'),
+        (parse_device, '"num_qubits": 2, "edges": [[0, 1]]'),
+    ],
+    ids=["circuit", "device"],
+)
+@pytest.mark.parametrize("name", ["5", "null", "[\"a\"]"])
+def test_json_name_must_be_a_string(parse, fields, name):
+    with pytest.raises(ParseError, match="'name' must be a string"):
+        parse(f'{{"name": {name}, {fields}}}')
+
+
 def test_circuit_roundtrip():
     c = parse_circuit_json(b'{"name":"x","qubits":3,"gates":[[2,1],[0,1]]}')
     again = parse_circuit_json(serialize_circuit(c))

@@ -1,14 +1,19 @@
+import ast
 import csv
 import io
 import json
+import re
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import swapbound
 from swapbound.bench import (
+    BenchRow,
     bench_summary,
     beta_histogram,
+    correlation_csv,
     load_manifest,
     pearson,
     read_circuit_file,
@@ -20,11 +25,10 @@ from swapbound.circuits import interaction_graph
 from swapbound.cli import main
 from swapbound.uncomplexity import compute_bound, standard_beta_grid
 
-FIXTURES = Path(__file__).resolve().parents[1] / "src" / "swapbound" / "fixtures"
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURES = ROOT / "src" / "swapbound" / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
-SCHEMA = json.loads(
-    (Path(__file__).resolve().parents[1] / "src" / "swapbound" / "schemas" / "report_schema.json").read_text()
-)
+SCHEMA = json.loads((ROOT / "src" / "swapbound" / "schemas" / "report_schema.json").read_text())
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -115,6 +119,16 @@ def test_bound_bad_input_exit_one(tmp_path, capsys):
     )
     assert code == 1
     assert "error" in err
+
+
+def test_bound_non_string_device_name_exit_one(tmp_path, capsys):
+    # printed as "device": 5, the report would fail the bundled schema
+    device = tmp_path / "d.json"
+    device.write_text('{"name": 5, "num_qubits": 3, "edges": [[0, 1], [1, 2]]}')
+    code, out, err = run_cli(
+        capsys, "bound", "--circuit", str(FIXTURES / "chain3.json"), "--device", str(device)
+    )
+    assert (code, out, err) == (1, "", "error: 'name' must be a string\n")
 
 
 LATIN1_CIRCUIT = b'{"name": "caf\xe9", "qubits": 2, "gates": [[0, 1]]}'
@@ -405,6 +419,28 @@ def _blank_timings(csv_text: str) -> str:
     return "\n".join(out)
 
 
+def test_correlation_csv_oracle_pool_smaller_than_bound_pool():
+    # oracle cells use the rows with an oracle, the others every row with a
+    # bound: a k > 8 row has no oracle and an errored row has no bound
+    rows = [
+        BenchRow("a", "d", u_swap=1, m_swap_max=4, oracle=1),
+        BenchRow("b", "d", u_swap=3, m_swap_max=6, oracle=2),
+        BenchRow("c", "d", u_swap=2, m_swap_max=9, oracle=2),
+        BenchRow("big", "d", ig_nodes=9, u_swap=7, m_swap_max=10),
+        BenchRow("bad", "d", error="ParseError: malformed JSON"),
+    ]
+    assert correlation_csv(rows) == (
+        "metric,u_swap,m_swap_max,oracle\n"
+        "u_swap,1,0.724904518975527,0.866025403784439\n"
+        "m_swap_max,0.724904518975527,1,0.802955068546966\n"
+        "oracle,0.866025403784439,0.802955068546966,1\n"
+    )
+    # no oracle at all drops the column; one row has no variance
+    assert correlation_csv(rows[3:]) == "metric,u_swap,m_swap_max\nu_swap,nan,nan\nm_swap_max,nan,nan\n"
+    # no row with a bound leaves every cell blank
+    assert correlation_csv(rows[4:]) == "metric,u_swap,m_swap_max\nu_swap,,\nm_swap_max,,\n"
+
+
 def test_bench_artifacts_match_golden(tmp_path, capsys):
     # a fresh run must reproduce the recorded artifacts; the *_ms columns are
     # wall-clock times, blanked in the recording
@@ -452,6 +488,7 @@ def test_usage_errors_exit_input(capsys):
     assert "usage:" in capsys.readouterr().out
     pair = ["--circuit", str(FIXTURES / "paw4.json"), "--device", str(FIXTURES / "tshape7.json")]
     assert main(["bound", *pair, "--format", "yaml"]) == 1
+    assert main(["bound", *pair, "--sweep"]) == 1  # sweeping is the default, not a flag
     for argv, message in (
         (["bound", *pair, "--stall-budget", "-1"], "stall_budget must be >= 0"),
         (["sweep", *pair, "--stall-budget", "-1"], "stall_budget must be >= 0"),
@@ -531,3 +568,31 @@ def test_cli_output_matches_golden(capsys, circuit, device, suffix, command, exp
     fresh, recorded = json.loads(out), json.loads(golden)
     assert _pop_divergences(fresh) == pytest.approx(_pop_divergences(recorded), abs=1e-12)
     assert json.dumps(fresh, indent=2) + "\n" == json.dumps(recorded, indent=2) + "\n"
+
+
+def _benchmark_api_names() -> set[str]:
+    """The ``swapbound.<name>`` attributes perfbench's ``plain_api`` reads."""
+    tree = ast.parse((ROOT / "perfbench" / "pipeline.py").read_text())
+    fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "plain_api")
+    return {
+        n.attr
+        for n in ast.walk(fn)
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "swapbound"
+    }
+
+
+def _readme_library_names() -> set[str]:
+    """The names README "Library use" imports from, or lists as exported by, the package."""
+    text = (ROOT / "README.md").read_text()
+    section = " ".join(text.split("## Library use", 1)[1].split("\n## ", 1)[0].split())
+    imported = re.search(r"from swapbound import (\w+(?:, \w+)*)", section).group(1).split(",")
+    listed = re.search(r"exports the stages on their own: (.*?)\. ", section).group(1)
+    return {n.strip() for n in imported} | set(re.findall(r"`(\w+)`", listed))
+
+
+def test_benchmark_and_readme_names_resolve_on_the_package():
+    # a trimmed export list must fail here, not in the benchmark's imports
+    bench, readme = _benchmark_api_names(), _readme_library_names()
+    assert {"assign_qubits", "beta_sweep", "brute_force_min_swaps"} <= bench
+    assert {"compute_bound", "parse_device", "swap_uncomplexity"} <= readme
+    assert sorted(n for n in bench | readme if not hasattr(swapbound, n)) == []

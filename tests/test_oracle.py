@@ -16,8 +16,10 @@ from swapbound.oracle import (
 )
 
 from conftest import (
+    build_assignment,
     complete_graph,
     cycle_graph,
+    graph_from_edges,
     path_graph,
     random_connected_graph,
     relabel,
@@ -53,14 +55,14 @@ def solvable_within(ig: Graph, a: Assignment, depth: int) -> bool:
 
 
 def test_isomorphic_placement_is_zero():
-    a = Assignment.build(path_graph(4), (0, 1, 2, 3))
+    a = build_assignment(path_graph(4), (0, 1, 2, 3))
     assert brute_force_min_swaps(path_graph(4), a) == 0
 
 
 def test_star_on_path_center_at_one():
     # hub at node 1 reaches nodes 0 and 2; one swap fetches the last leaf
     star = star_graph(4)
-    a = Assignment.build(path_graph(4), (1, 0, 2, 3))
+    a = build_assignment(path_graph(4), (1, 0, 2, 3))
     assert brute_force_min_swaps(star, a) == 1
     assert not solvable_within(star, a, 0)
     assert solvable_within(star, a, 1)
@@ -68,7 +70,7 @@ def test_star_on_path_center_at_one():
 
 def test_k4_on_path_is_three():
     k4 = complete_graph(4)
-    a = Assignment.build(path_graph(4), (0, 1, 2, 3))
+    a = build_assignment(path_graph(4), (0, 1, 2, 3))
     assert brute_force_min_swaps(k4, a) == 3
     assert not solvable_within(k4, a, 2)
     assert solvable_within(k4, a, 3)
@@ -84,7 +86,7 @@ def test_over_assignments_examples():
 
 def test_size_guard():
     big = path_graph(9)
-    a = Assignment.build(path_graph(9), tuple(range(9)))
+    a = build_assignment(path_graph(9), tuple(range(9)))
     with pytest.raises(SizeGuardError):
         brute_force_min_swaps(big, a)
     with pytest.raises(SizeGuardError):
@@ -98,7 +100,7 @@ def test_zero_iff_trivial_removal_empties():
         cg = random_connected_graph(rng, int(rng.integers(k, 7)), 0.4)
         ig = random_connected_graph(rng, k, 0.4)
         nodes = map_random_assignment(rng, cg, k)
-        a = Assignment.build(cg, nodes)
+        a = build_assignment(cg, nodes)
         zero = brute_force_min_swaps(ig, a) == 0
         assert zero == (remove_trivial_edges(ig, a).num_edges() == 0)
 
@@ -119,13 +121,13 @@ def test_relabel_invariance():
         k = int(rng.integers(3, 6))
         ig = random_connected_graph(rng, k, 0.5)
         cg = random_connected_graph(rng, k, 0.5)
-        a = Assignment.build(cg, tuple(range(k)))
+        a = build_assignment(cg, tuple(range(k)))
         base = brute_force_min_swaps(ig, a)
         perm = [int(x) for x in rng.permutation(k)]
         ig2 = relabel(ig, perm)
         cg2 = relabel(cg, perm)
         # identity assignment on the co-relabeled pair is the same instance
-        a2 = Assignment.build(cg2, tuple(range(k)))
+        a2 = build_assignment(cg2, tuple(range(k)))
         assert brute_force_min_swaps(ig2, a2) == base
 
 
@@ -142,7 +144,7 @@ def test_monotone_in_interaction_edges():
         ]
         if not missing:
             continue
-        a = Assignment.build(cg, tuple(range(k)))
+        a = build_assignment(cg, tuple(range(k)))
         base = brute_force_min_swaps(ig, a)
         extra = missing[int(rng.integers(0, len(missing)))]
         grown = Graph(k, ig.edges | {extra})
@@ -245,7 +247,7 @@ def test_swap_floor_is_admissible_consistent_and_positive():
         ([(0, 4)], path_graph(5), 3),
         (
             [(0, 2), (1, 3), (4, 5)],
-            Graph.from_edges(6, [(0, 4), (1, 4), (1, 5), (2, 4), (3, 4)]),
+            graph_from_edges(6, [(0, 4), (1, 4), (1, 5), (2, 4), (3, 4)]),
             2,
         ),
         (list(complete_graph(6).edge_list), cycle_graph(6), 5),

@@ -13,6 +13,7 @@ from conftest import (
     complete_graph,
     connected_graphs,
     gibbs_probs,
+    graph_from_edges,
     path_graph,
     random_density,
     scalar_entropy,
@@ -45,7 +46,7 @@ def test_laplacian_edgeless_and_single_edge():
 
 
 def test_laplacian_row_sums_and_degrees():
-    g = Graph.from_edges(5, [(0, 1), (1, 2), (1, 4), (3, 4)])
+    g = graph_from_edges(5, [(0, 1), (1, 2), (1, 4), (3, 4)])
     L = laplacian(g)
     assert np.allclose(L.sum(axis=1), 0.0)
     assert np.array_equal(np.diag(L), g.degrees)
@@ -80,7 +81,7 @@ def test_gibbs_trace_and_psd():
             for u, v in itertools.combinations(range(n), 2)
             if rng.random() < 0.5
         ]
-        g = Graph.from_edges(n, edges)
+        g = graph_from_edges(n, edges)
         for beta in (0.0, 1e-4, 0.7, 50.0, 9e5):
             rho = gibbs_state(laplacian(g), beta)
             assert abs(np.trace(rho.entries) - 1.0) <= 1e-12
@@ -234,7 +235,7 @@ def test_sqrt_qjsd_triangle_inequality():
 
 
 def test_entropy_curve_endpoints():
-    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     curve = dict(entropy_curve(g, [0.0, 1e5]))
     assert curve[0.0] == pytest.approx(math.log(4), abs=1e-12)
     assert curve[1e5] <= 1e-3
@@ -302,7 +303,7 @@ def _cospectral_pair():
                 other = next(iter(seen.values()))
                 e1 = [pairs[i] for i in range(len(pairs)) if other >> i & 1]
                 e2 = [pairs[i] for i in range(len(pairs)) if m >> i & 1]
-                return Graph.from_edges(n, e1), Graph.from_edges(n, e2)
+                return graph_from_edges(n, e1), graph_from_edges(n, e2)
             seen.setdefault(ds, m)
     raise AssertionError("no cospectral pair found on 6 vertices")
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from swapbound.assignment import (
-    Assignment,
     assign_qubits,
     exchanges,
     max_swap_bound,
@@ -29,9 +28,11 @@ from swapbound.uncomplexity import (
 )
 
 from conftest import (
+    build_assignment,
     complete_graph,
     cycle_graph,
     gibbs_probs,
+    graph_from_edges,
     path_graph,
     random_connected_graph,
     random_interaction_graph,
@@ -63,30 +64,30 @@ def test_standard_grid_shape():
 
 
 def test_remove_trivial_edges_isomorphic_match():
-    a = Assignment.build(path_graph(4), (0, 1, 2, 3))
+    a = build_assignment(path_graph(4), (0, 1, 2, 3))
     assert remove_trivial_edges(path_graph(4), a).num_edges() == 0
 
 
 def test_remove_trivial_edges_k4_on_p4():
-    a = Assignment.build(path_graph(4), (0, 1, 2, 3))
+    a = build_assignment(path_graph(4), (0, 1, 2, 3))
     remaining = remove_trivial_edges(complete_graph(4), a)
     assert remaining.edge_list == ((0, 2), (0, 3), (1, 3))
 
 
 def test_remove_trivial_edges_edgeless():
-    a = Assignment.build(path_graph(3), (0, 1, 2))
+    a = build_assignment(path_graph(3), (0, 1, 2))
     assert remove_trivial_edges(Graph(3), a).num_edges() == 0
 
 
 def test_aligned_qjsd_zero_on_exact_match():
-    a = Assignment.build(path_graph(4), (1, 0, 2, 3))
+    a = build_assignment(path_graph(4), (1, 0, 2, 3))
     frame = cg_in_ig_frame(a)
     assert aligned_qjsd(frame, a, 0.8) <= 1e-12
 
 
 def test_aligned_qjsd_edgeless_ig_commuting_oracle():
     # I/n against the device state: scalar evaluation in the shared eigenbasis
-    a = Assignment.build(path_graph(3), (0, 1, 2))
+    a = build_assignment(path_graph(3), (0, 1, 2))
     beta = 0.6
     q = gibbs_probs([0.0, 1.0, 3.0], beta)  # P3 Laplacian spectrum
     mix = [(1 / 3 + x) / 2 for x in q]
@@ -96,7 +97,7 @@ def test_aligned_qjsd_edgeless_ig_commuting_oracle():
 
 
 def test_aligned_qjsd_symmetric_roles():
-    a = Assignment.build(path_graph(4), (2, 1, 0, 3))
+    a = build_assignment(path_graph(4), (2, 1, 0, 3))
     g = star_graph(4)
     beta = 0.3
     rho = graph_gibbs(g, beta)
@@ -115,7 +116,7 @@ def test_swap_uncomplexity_zero_on_monomorphic_match():
 
 def test_swap_uncomplexity_star_on_path():
     ig = ig_of(star_graph(4))
-    a = Assignment.build(path_graph(4), (1, 0, 2, 3))
+    a = build_assignment(path_graph(4), (1, 0, 2, 3))
     for beta in (1e-4, 1e-3, 1e-2):
         m, trace = swap_uncomplexity(ig, a, beta)
         assert m == 1
@@ -125,7 +126,7 @@ def test_swap_uncomplexity_star_on_path():
 
 def test_swap_uncomplexity_k4_on_p4_bounded_by_oracle():
     ig = ig_of(complete_graph(4))
-    a = Assignment.build(path_graph(4), (0, 1, 2, 3))
+    a = build_assignment(path_graph(4), (0, 1, 2, 3))
     sweep = beta_sweep(ig, a)
     assert sweep.m_star <= 3 == brute_force_min_swaps(ig.graph, a)
 
@@ -134,7 +135,7 @@ def test_early_zero_requires_edge_set_equality_not_just_divergence():
     # At beta tiny the divergence of distinct graphs all but vanishes; the
     # descent must still run until every interaction sits on a coupler.
     ig = ig_of(star_graph(4))
-    a = Assignment.build(path_graph(4), (1, 0, 2, 3))
+    a = build_assignment(path_graph(4), (1, 0, 2, 3))
     beta = 1e-5
     assert aligned_qjsd(ig.graph, a, beta) <= 1e-10
     m, _ = swap_uncomplexity(ig, a, beta)
@@ -209,7 +210,7 @@ def _replay_through_reference(ig, cg, a, beta) -> int:
             pos = current.positions()
             u, v = pos.index(step.edge[0]), pos.index(step.edge[1])
             ig_to_cg[u], ig_to_cg[v] = ig_to_cg[v], ig_to_cg[u]
-            current = Assignment.build(cg, ig_to_cg)
+            current = build_assignment(cg, ig_to_cg)
             assert step.qjsd_after == pytest.approx(
                 aligned_qjsd(remaining, current, beta), abs=1e-10
             )
@@ -301,7 +302,7 @@ def test_sweep_calls_go_through_the_traced_module_names(monkeypatch):
         traces.clear()
         calls.update(spectra=0, eigvalsh=0)
         ig = ig_of(graph)
-        a = Assignment.build(cg, tuple(range(cg.n)))
+        a = build_assignment(cg, tuple(range(cg.n)))
         beta_sweep(ig, a)
         iterations = sum(t.iterations for t in traces)
         assert len(traces) == 99
@@ -408,7 +409,7 @@ def test_stall_budget_zero_flags_stall():
     # An interaction the subgraph cannot relieve in one improving move may
     # stall immediately when the budget is zero; the run must flag it.
     ig = ig_of(star_graph(4))
-    a = Assignment.build(path_graph(4), (0, 1, 2, 3))
+    a = build_assignment(path_graph(4), (0, 1, 2, 3))
     m, trace = swap_uncomplexity(ig, a, 1e-3, stall_budget=0)
     if trace.stalled:
         assert any(isinstance(s, StallStep) for s in trace.steps)
@@ -428,14 +429,14 @@ def test_beta_sweep_isomorphic_all_zero():
 
 def test_beta_sweep_star_case():
     ig = ig_of(star_graph(4))
-    a = Assignment.build(path_graph(4), (1, 0, 2, 3))
+    a = build_assignment(path_graph(4), (1, 0, 2, 3))
     sweep = beta_sweep(ig, a)
     assert sweep.m_star == 1
 
 
 def test_beta_sweep_all_stalled_raises(monkeypatch):
     ig = ig_of(star_graph(4))
-    a = Assignment.build(path_graph(4), (0, 1, 2, 3))
+    a = build_assignment(path_graph(4), (0, 1, 2, 3))
     # a grid of one ultra-high-temperature point with no stall budget: no
     # strict improvement is representable, so the run must stall
     monkeypatch.setattr("swapbound.uncomplexity.standard_beta_grid", lambda: (1e-300,))
@@ -458,9 +459,9 @@ def test_compute_bound_trace_is_the_winning_run():
     # The smallest beta needs 3 swaps here, the winner (beta = 5) only 2, so
     # the reported trace must come from the winning run, not the first.
     ig = ig_of(
-        Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (3, 4)])
+        graph_from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (3, 4)])
     )
-    cg = Graph.from_edges(5, [(0, 1), (0, 2), (0, 4), (2, 3), (3, 4)])
+    cg = graph_from_edges(5, [(0, 1), (0, 2), (0, 4), (2, 3), (3, 4)])
     report = compute_bound(ig, cg)
     sweep = beta_sweep(ig, report.assignment)
     assert (report.beta_star, report.u_swap, report.per_beta) == (
