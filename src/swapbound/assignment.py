@@ -193,9 +193,6 @@ def graph_edit_distance(g: Graph, h: Graph) -> GedResult:
     if g.n != h.n:
         raise ValidationError(f"size mismatch: {g.n} vs {h.n}")
     n = g.n
-    if n == 0:
-        return GedResult(0, ())
-
     # The identity is the lexicographically smallest bijection, so seeding
     # with it keeps the first-found-optimum tie-break intact under pruning.
     identity = tuple(range(n))
@@ -357,22 +354,13 @@ def assign_qubits(
         ged = _bijection_cost(ig.graph, sub, bij)
         return AssignmentResult(assignment, ged, "dense")
 
-    best: tuple[int, int, tuple[int, ...]] | None = None
-    best_class: SubgraphClass | None = None
-    best_ged: GedResult | None = None
-    for cls in _classes_from_subsets(cg, subsets):
-        result = graph_edit_distance(ig.graph, cls.graph)
-        key = (result.distance, -cls.graph.num_edges(), cls.representative_nodes)
-        if best is None or key < best:
-            best = key
-            best_class = cls
-            best_ged = result
-    assert best_class is not None and best_ged is not None
-    nodes = best_class.representative_nodes
-    assignment = Assignment(
-        tuple(nodes[b] for b in best_ged.best_bijection), nodes, best_class.graph
+    ged, best = min(
+        ((graph_edit_distance(ig.graph, c.graph), c) for c in _classes_from_subsets(cg, subsets)),
+        key=lambda rc: (rc[0].distance, -rc[1].graph.num_edges(), rc[1].representative_nodes),
     )
-    return AssignmentResult(assignment, best_ged.distance, "similarity")
+    nodes = best.representative_nodes
+    assignment = Assignment(tuple(nodes[b] for b in ged.best_bijection), nodes, best.graph)
+    return AssignmentResult(assignment, ged.distance, "similarity")
 
 
 def max_swap_bound(ig: InteractionGraph, a: Assignment) -> int:

@@ -8,14 +8,13 @@ temperatures.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 from .circuits import (
-    _decode,
+    _load_json,
     interaction_graph,
     parse_circuit_json,
     parse_circuit_qasm_subset,
@@ -82,16 +81,9 @@ def read_circuit_file(path: Path):
     return circuit
 
 
-def read_device_file(path: Path):
-    return parse_device(path.read_bytes())
-
-
 def load_manifest(path: Path) -> list[tuple[Path, Path]]:
-    try:
-        doc = json.loads(_decode(path.read_bytes()))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed manifest: {exc.msg}", exc.lineno, exc.colno) from exc
-    if not isinstance(doc, dict) or not isinstance(doc.get("pairs"), list):
+    doc = _load_json(path.read_bytes())
+    if not isinstance(doc.get("pairs"), list):
         raise ParseError("manifest must be an object with a 'pairs' list")
     base = path.parent
     pairs = []
@@ -108,7 +100,7 @@ def run_pair(circuit_path: Path, device_path: Path) -> BenchRow:
     row = BenchRow(benchmark=circuit_path.stem, device=device_path.stem)
     try:
         circuit = read_circuit_file(circuit_path)
-        device = read_device_file(device_path)
+        device = parse_device(device_path.read_bytes())
         row.benchmark = circuit.name or circuit_path.stem
         row.device = device.name or device_path.stem
         ig = interaction_graph(circuit)
@@ -133,10 +125,6 @@ def run_pair(circuit_path: Path, device_path: Path) -> BenchRow:
         row.error = str(exc)
         row.stalled = isinstance(exc, SweepError)
     return row
-
-
-def run_manifest(pairs: list[tuple[Path, Path]]) -> list[BenchRow]:
-    return [run_pair(c, d) for c, d in pairs]
 
 
 def _normalize(values: list[float | None]) -> list[float | None]:

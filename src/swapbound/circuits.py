@@ -98,20 +98,19 @@ def _name(doc: dict) -> str:
     return name
 
 
-def _gate_pairs(raw, num_qubits: int) -> list[Edge]:
-    gates = []
+def _int_pairs(raw: list, kind: str, members: str) -> list[Edge]:
+    """The entries of ``raw`` as integer pairs; ``kind`` and ``members`` name them in errors.
+
+    Ranges and repeated endpoints are checked once, by ``Circuit`` and ``Graph``.
+    """
+    pairs = []
     for entry in raw:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise ParseError(f"gate entry {entry!r} is not a pair")
-        i, j = entry
-        if not _is_int(i) or not _is_int(j):
-            raise ParseError(f"gate entry {entry!r} has non-integer qubits")
-        if i == j:
-            raise ValidationError(f"gate on identical qubits ({i},{j})")
-        if not (0 <= i < num_qubits and 0 <= j < num_qubits):
-            raise ValidationError(f"qubit index in ({i},{j}) out of range (n={num_qubits})")
-        gates.append((i, j))
-    return gates
+            raise ParseError(f"{kind} entry {entry!r} is not a pair")
+        if not (_is_int(entry[0]) and _is_int(entry[1])):
+            raise ParseError(f"{kind} entry {entry!r} has non-integer {members}")
+        pairs.append(tuple(entry))
+    return pairs
 
 
 def parse_circuit_json(text: bytes | str) -> Circuit:
@@ -124,7 +123,7 @@ def parse_circuit_json(text: bytes | str) -> Circuit:
         raise ParseError("'qubits' must be a non-negative integer")
     if not isinstance(doc["gates"], list):
         raise ParseError("'gates' must be a list of pairs")
-    gates = _gate_pairs(doc["gates"], num_qubits)
+    gates = _int_pairs(doc["gates"], "gate", "qubits")
     return Circuit(num_qubits, tuple(gates), _name(doc))
 
 
@@ -191,19 +190,8 @@ def parse_device(text: bytes | str) -> DeviceSpec:
     if not isinstance(doc["edges"], list):
         raise ParseError("'edges' must be a list of pairs")
     name = _name(doc)
-    edges = set()
-    for entry in doc["edges"]:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise ParseError(f"edge entry {entry!r} is not a pair")
-        u, v = entry
-        if not _is_int(u) or not _is_int(v):
-            raise ParseError(f"edge entry {entry!r} has non-integer endpoints")
-        if u == v:
-            raise ValidationError(f"self-loop on vertex {u}")
-        if not (0 <= u < num_qubits and 0 <= v < num_qubits):
-            raise ValidationError(f"edge ({u},{v}) out of range (n={num_qubits})")
-        edges.add(normalize_edge(u, v))
-    coupling = Graph(num_qubits, frozenset(edges))
+    pairs = _int_pairs(doc["edges"], "edge", "endpoints")
+    coupling = Graph(num_qubits, frozenset(normalize_edge(u, v) for u, v in pairs))
     return DeviceSpec(name, num_qubits, coupling)
 
 

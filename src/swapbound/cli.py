@@ -19,12 +19,11 @@ from .bench import (
     csv_text,
     load_manifest,
     read_circuit_file,
-    read_device_file,
     rows_to_csv,
-    run_manifest,
+    run_pair,
 )
 from .assignment import DEFAULT_CLASS_BUDGET, assign_qubits, max_swap_bound
-from .circuits import interaction_graph
+from .circuits import interaction_graph, parse_device
 from .errors import SizeGuardError, SwapBoundError, SweepError
 from .oracle import brute_force_min_swaps, brute_force_over_assignments
 from .spectral import entropy_curve
@@ -83,7 +82,7 @@ def _write(doc: dict, fmt: str, csv_header: list[str]) -> None:
 
 def _load_pair(args):
     circuit = read_circuit_file(Path(args.circuit))
-    device = read_device_file(Path(args.device))
+    device = parse_device(Path(args.device).read_bytes())
     ig = interaction_graph(circuit)
     return circuit, device, ig
 
@@ -156,14 +155,13 @@ def cmd_curve(args) -> int:
         circuit = read_circuit_file(Path(args.circuit))
         graph = interaction_graph(circuit).graph
     else:
-        graph = read_device_file(Path(args.device)).coupling
+        graph = parse_device(Path(args.device).read_bytes()).coupling
     sys.stdout.write(csv_text(["beta", "entropy"], entropy_curve(graph, standard_beta_grid())))
     return EXIT_OK
 
 
 def cmd_bench(args) -> int:
-    pairs = load_manifest(Path(args.manifest))
-    rows = run_manifest(pairs)
+    rows = [run_pair(c, d) for c, d in load_manifest(Path(args.manifest))]
     rows_csv = rows_to_csv(rows)
     sys.stdout.write(rows_csv)
     grid = standard_beta_grid()
@@ -177,11 +175,9 @@ def cmd_bench(args) -> int:
         (out / "bench_beta_histogram.csv").write_text(csv_text(["beta", "count"], hist))
         (out / "bench_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     sys.stderr.write(json.dumps(summary, indent=2) + "\n")
-    if summary["failed_rows"]:
+    if any(r.error and not r.stalled for r in rows):
         return EXIT_INPUT
-    if any(r.stalled for r in rows):
-        return EXIT_STALL
-    return EXIT_OK
+    return EXIT_STALL if any(r.stalled for r in rows) else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -249,18 +245,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:
         return args.func(args)
-    except SizeGuardError as exc:
+    except (SwapBoundError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_GUARD
-    except SweepError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_STALL
-    except SwapBoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
+        return {SizeGuardError: EXIT_GUARD, SweepError: EXIT_STALL}.get(type(exc), EXIT_INPUT)
 
 
 if __name__ == "__main__":

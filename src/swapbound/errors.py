@@ -39,11 +39,4 @@ class SizeGuardError(ValidationError):
 
 
 class SweepError(SwapBoundError):
-    """Every run of an inverse-temperature sweep stalled.
-
-    ``partial`` holds the per-beta results gathered before giving up.
-    """
-
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        self.partial = partial if partial is not None else []
+    """Every run of an inverse-temperature sweep stalled."""

@@ -223,7 +223,7 @@ def beta_sweep(
     """Minimum swap count over the standard grid; ties resolve to the smallest beta.
 
     Stalled runs are excluded from the minimum. If every run stalls,
-    raises :class:`SweepError` carrying the per-beta results.
+    raises :class:`SweepError`.
     """
     if stall_budget is None:
         stall_budget = max_swap_bound(ig, a)
@@ -235,7 +235,7 @@ def beta_sweep(
         if not trace.stalled and (best is None or m < best.swap_count):
             best = trace
     if best is None:
-        raise SweepError("every sweep run stalled", partial=per_beta)
+        raise SweepError("every sweep run stalled")
     return SweepResult(best.beta, best.swap_count, tuple(per_beta), best)
 
 

@@ -17,7 +17,7 @@ from swapbound.assignment import (
     max_swap_bound,
     vf2_embed,
 )
-from swapbound.bench import bench_summary, beta_histogram, load_manifest, run_manifest
+from swapbound.bench import bench_summary, beta_histogram, load_manifest, run_pair
 from swapbound.circuits import Circuit, interaction_graph, parse_circuit_json, parse_device
 from swapbound.graphs import Graph, canonical_form, induced_subgraph
 from swapbound.oracle import _SwapFloor, brute_force_min_swaps
@@ -282,7 +282,7 @@ def test_acceptance_6_oracle_cross_validation():
 
 def test_acceptance_8_beta_distribution_report():
     grid = standard_beta_grid()
-    rows = run_manifest(load_manifest(FIXTURES / "manifest.json"))
+    rows = [run_pair(c, d) for c, d in load_manifest(FIXTURES / "manifest.json")]
     assert all(not r.error for r in rows)
     hist = beta_histogram(rows, grid)
     assert sum(c for _, c in hist) == len(rows)

@@ -202,6 +202,11 @@ def test_ged_size_mismatch():
         graph_edit_distance(path_graph(3), path_graph(4))
 
 
+def test_ged_of_empty_graphs_is_zero():
+    result = graph_edit_distance(Graph(0), Graph(0))
+    assert (result.distance, result.best_bijection) == (0, ())
+
+
 # --- assign_qubits -----------------------------------------------------------
 
 def test_assign_isomorphic_path(tshape7):
@@ -317,6 +322,17 @@ def test_most_connected_matches_exhaustive_edge_count():
             # edge of optimal on these sizes and be connected
             assert is_connected(induced_subgraph(g, nodes))
             assert got >= best - 1
+
+
+def test_most_connected_exchange_reaches_what_growth_misses():
+    # a hub with four leaves, two of them joined: growth from the hub takes
+    # the smallest leaves, (0, 1, 2) with 2 edges; exchanging 1 for 3 closes
+    # the triangle
+    g = graph_from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4), (2, 3)])
+    best = max(induced_subgraph(g, s).num_edges() for s in connected_subsets(g, 3))
+    nodes = most_connected_subgraph(g, 3)
+    assert nodes == (0, 2, 3)
+    assert induced_subgraph(g, nodes).num_edges() == best == 3
 
 
 # --- max swap bound ------------------------------------------------------------

@@ -1,5 +1,6 @@
 import ast
 import csv
+import importlib
 import io
 import json
 import re
@@ -17,12 +18,12 @@ from swapbound.bench import (
     load_manifest,
     pearson,
     read_circuit_file,
-    read_device_file,
     rows_to_csv,
-    run_manifest,
+    run_pair,
 )
-from swapbound.circuits import interaction_graph
+from swapbound.circuits import interaction_graph, parse_device
 from swapbound.cli import main
+from swapbound.errors import SweepError
 from swapbound.uncomplexity import compute_bound, standard_beta_grid
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -203,6 +204,21 @@ def test_bound_stall_exit_two(capsys):
     assert json.loads(out)["stalled"] is True
 
 
+@pytest.mark.parametrize("command", ["bound", "sweep"])
+def test_every_sweep_run_stalled_exit_two(capsys, monkeypatch, command):
+    # one ultra-high-temperature grid point with no stall budget stalls the
+    # whole sweep: no report, one error line
+    monkeypatch.setattr("swapbound.uncomplexity.standard_beta_grid", lambda: (1e-300,))
+    code, out, err = run_cli(
+        capsys,
+        command,
+        "--circuit", str(FIXTURES / "star4.json"),
+        "--device", str(FIXTURES / "line5.json"),
+        "--stall-budget", "0",
+    )
+    assert (code, out, err) == (2, "", "error: every sweep run stalled\n")
+
+
 def test_qasm_circuit_through_cli(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -318,6 +334,34 @@ def test_bench_records_row_failures(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_bench_stalled_row_exit_two_other_failure_exit_one(tmp_path, capsys, monkeypatch):
+    # no bundled pair stalls at every beta, so the star4 pair's sweep is made to stall
+    real = swapbound.bench.compute_bound
+
+    def compute_bound(ig, cg, **kwargs):
+        if ig.graph.n == 4:
+            raise SweepError("every sweep run stalled")
+        return real(ig, cg, **kwargs)
+
+    monkeypatch.setattr("swapbound.bench.compute_bound", compute_bound)
+    for name in ("chain3.json", "star4.json", "line5.json"):
+        (tmp_path / name).write_text((FIXTURES / name).read_text())
+    pairs = [{"circuit": c, "device": "line5.json"} for c in ("chain3.json", "star4.json")]
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text(json.dumps({"pairs": pairs}))
+    code, out, _ = run_cli(capsys, "bench", str(mpath))
+    assert code == 2
+    header, good, stalled = csv.reader(io.StringIO(out))
+    row = dict(zip(header, stalled))
+    assert (row["benchmark"], row["stalled"], row["error"]) == (
+        "star4", "true", "every sweep run stalled"
+    )
+    assert dict(zip(header, good))["error"] == ""
+    # a row that failed for another reason still exits 1
+    mpath.write_text(json.dumps({"pairs": pairs + [{"circuit": "x.json", "device": "line5.json"}]}))
+    assert run_cli(capsys, "bench", str(mpath))[0] == 1
+
+
 def test_bench_records_non_utf8_row_and_keeps_the_others(tmp_path, capsys):
     (tmp_path / "latin1.json").write_bytes(LATIN1_CIRCUIT)
     for name in ("chain3.json", "line5.json"):
@@ -375,8 +419,8 @@ def test_bench_rows_deterministic_modulo_timing():
             out.append(clone)
         return out
 
-    first = scrub(run_manifest(pairs))
-    second = scrub(run_manifest(pairs))
+    first = scrub([run_pair(c, d) for c, d in pairs])
+    second = scrub([run_pair(c, d) for c, d in pairs])
     assert first == second
 
 
@@ -390,7 +434,7 @@ def test_pearson_anticorrelated():
 
 def test_bench_normalized_columns_sum_to_one():
     pairs = load_manifest(FIXTURES / "manifest.json")[:6]
-    rows = run_manifest(pairs)
+    rows = [run_pair(c, d) for c, d in pairs]
     csv_text = rows_to_csv(rows)
     lines = csv_text.strip().split("\n")
     header = lines[0].split(",")
@@ -401,7 +445,7 @@ def test_bench_normalized_columns_sum_to_one():
 
 def test_histogram_counts_rows():
     pairs = load_manifest(FIXTURES / "manifest.json")[:4]
-    rows = run_manifest(pairs)
+    rows = [run_pair(c, d) for c, d in pairs]
     hist = beta_histogram(rows, standard_beta_grid())
     assert sum(c for _, c in hist) == len([r for r in rows if r.beta_star is not None])
 
@@ -468,14 +512,14 @@ def test_sandwich_violations_only_flag_relations_that_hold(tmp_path):
     (tmp_path / "m.json").write_text(
         json.dumps({"pairs": [{"circuit": "c.json", "device": "d.json"}]})
     )
-    rows = run_manifest(load_manifest(tmp_path / "m.json"))
+    rows = [run_pair(c, d) for c, d in load_manifest(tmp_path / "m.json")]
     assert (rows[0].u_swap, rows[0].oracle) == (3, 2)
     summary = bench_summary(rows, standard_beta_grid())
     assert summary["sandwich_violations"] == []
 
 
 def test_sandwich_violations_flag_oracle_above_a_bound():
-    rows = run_manifest(load_manifest(FIXTURES / "manifest.json")[:3])
+    rows = [run_pair(c, d) for c, d in load_manifest(FIXTURES / "manifest.json")[:3]]
     rows[2].oracle = rows[2].m_swap_max + 1  # an optimum no feasible schedule allows
     summary = bench_summary(rows, standard_beta_grid())
     assert summary["sandwich_violations"] == [(rows[2].benchmark, rows[2].device)]
@@ -501,9 +545,10 @@ def test_usage_errors_exit_input(capsys):
 
 def test_bench_row_matches_compute_bound():
     pairs = load_manifest(FIXTURES / "manifest.json")
-    for row, (circuit_path, device_path) in zip(run_manifest(pairs), pairs):
+    for circuit_path, device_path in pairs:
+        row = run_pair(circuit_path, device_path)
         ig = interaction_graph(read_circuit_file(circuit_path))
-        report = compute_bound(ig, read_device_file(device_path).coupling)
+        report = compute_bound(ig, parse_device(device_path.read_bytes()).coupling)
         assert (row.ged, row.method, row.u_swap, row.beta_star, row.m_swap_max) == (
             report.ged,
             report.method,
@@ -590,9 +635,45 @@ def _readme_library_names() -> set[str]:
     return {n.strip() for n in imported} | set(re.findall(r"`(\w+)`", listed))
 
 
+def _benchmark_module_names() -> set[tuple[str, str]]:
+    """``(module, name)`` for every ``from swapbound.x import y`` in perfbench, and
+    every tuple in ``tracing.py`` that names a swapbound module and a string
+    attribute: the ``MODULE_PATCHES`` entries and the patched ``connected_subsets``.
+    """
+    found = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, ast.ImportFrom) and (n.module or "").startswith("swapbound."):
+                found |= {(n.module, alias.name) for alias in n.names}
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    aliases = {  # local names bound to a module, as in ``module = swapbound.assignment``
+        ast.unparse(n.targets[0]): ast.unparse(n.value)
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Assign) and len(n.targets) == 1
+    }
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Tuple) and len(n.elts) >= 2 and isinstance(n.elts[1], ast.Constant):
+            head = ast.unparse(n.elts[0])
+            module = aliases.get(head, head)
+            if module.startswith("swapbound."):
+                found.add((module, n.elts[1].value))
+    return found
+
+
 def test_benchmark_and_readme_names_resolve_on_the_package():
-    # a trimmed export list must fail here, not in the benchmark's imports
+    # a trimmed export list or a renamed function must fail here, not in the
+    # benchmark's imports or its traced pass
     bench, readme = _benchmark_api_names(), _readme_library_names()
     assert {"assign_qubits", "beta_sweep", "brute_force_min_swaps"} <= bench
     assert {"compute_bound", "parse_device", "swap_uncomplexity"} <= readme
     assert sorted(n for n in bench | readme if not hasattr(swapbound, n)) == []
+    modules = _benchmark_module_names()
+    assert {
+        ("swapbound.oracle", "ORACLE_MAX_VERTICES"),
+        ("swapbound.spectral", "laplacian_spectrum"),
+        ("swapbound.assignment", "connected_subsets"),
+        ("swapbound.assignment", "graph_edit_distance"),
+        ("swapbound.uncomplexity", "swap_uncomplexity"),
+    } <= modules
+    missing = [(m, n) for m, n in modules if not hasattr(importlib.import_module(m), n)]
+    assert sorted(missing) == []
