@@ -50,11 +50,12 @@ class Assignment:
             raise ValidationError("subgraph size differs from the chosen node set")
         if not is_connected(self.cg_subgraph):
             raise ValidationError("chosen CG subgraph is disconnected")
+        index = {node: i for i, node in enumerate(nodes)}
+        object.__setattr__(self, "_positions", tuple(index[c] for c in self.ig_to_cg))
 
     def positions(self) -> tuple[int, ...]:
         """IG vertex -> subgraph label (index into cg_subgraph_nodes)."""
-        index = {node: i for i, node in enumerate(self.cg_subgraph_nodes)}
-        return tuple(index[c] for c in self.ig_to_cg)
+        return self._positions
 
 
 def pending_interactions(

@@ -205,6 +205,7 @@ def bench_summary(rows: list[BenchRow], grid: tuple[float, ...]) -> dict:
     return {
         "rows": len(rows),
         "failed_rows": sum(1 for r in rows if r.error),
+        "stalled_rows": sum(1 for r in rows if r.stalled),
         "isomorphic_rows": sum(1 for r in ok if r.ged == 0),
         "non_isomorphic_rows": len(non_iso),
         "high_temperature_count": len(high_temp),

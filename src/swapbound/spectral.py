@@ -51,15 +51,17 @@ def laplacian_spectrum(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 
 
 def entropy_of_probs(p: Iterable[float]) -> float:
-    p = np.maximum(np.asarray(p, dtype=float), 0.0)
+    """Shannon entropy in nats; entries <= 0 (underflowed or rounding) add nothing."""
+    p = np.asarray(p, dtype=float)
     nz = p[p > 0.0]
-    return float(max(0.0, -np.sum(nz * np.log(nz))))
+    return max(0.0, -float((nz * np.log(nz)).sum()))
 
 
 def gibbs_weights(eigenvalues: np.ndarray, beta: float) -> np.ndarray:
-    shifted = np.exp(-beta * (eigenvalues - eigenvalues.min()))
+    """``exp(-beta w) / Z`` over an ascending spectrum ``w``, shifted by ``w[0]``."""
+    shifted = np.exp(-beta * (eigenvalues - eigenvalues[0]))
     total = shifted.sum()
-    if not np.isfinite(total) or total <= 0.0:
+    if not 0.0 < total < math.inf:
         raise NumericalError("partition function is non-finite or zero")
     return shifted / total
 
@@ -70,5 +72,4 @@ def entropy_curve(g: Graph, betas: Sequence[float]) -> list[tuple[float, float]]
     if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
         raise ValidationError("beta grid must be strictly ascending")
     w, _ = laplacian_spectrum(g)
-    w = np.array(w)
     return [(b, entropy_of_probs(gibbs_weights(w, b))) for b in betas]

@@ -26,8 +26,10 @@ erasure; so the move chosen from a placement is kept until an erasure
 changes the pending set. A fresh state costs one gather, which stacks the
 mixtures for the placement and every exchange, and one batched
 ``eigvalsh``; the pending graph's Gibbs state is built once per pending
-set. A revisit reuses the floats a fresh evaluation would return, for
-the cost of a dict lookup.
+set, its weights and entropy by the same ``spectral`` arithmetic as
+``entropy_curve``. A revisit reuses the trace step a fresh evaluation
+would return and asks the routing model nothing, since a move kept in
+the memo erased nothing when it was made: it costs a dict lookup.
 
 A revisit is a cycle. The move from a state depends on the state alone
 and the pending set only shrinks, so a run that comes back to a state
@@ -147,9 +149,8 @@ def _divergences(
     idx = np.asarray(placements)
     stacked = (rho_m + sigma_m[idx[:, :, None], idx[:, None, :]]) / 2.0
     q = np.maximum(np.linalg.eigvalsh(stacked), 0.0)
-    terms = np.where(q > 0.0, q * np.log(np.where(q > 0.0, q, 1.0)), 0.0)
-    entropies = np.maximum(-terms.sum(axis=1), 0.0)
-    return np.maximum(entropies - (s_rho + s_sigma) / 2.0, 0.0)
+    terms = q * np.log(np.where(q > 0.0, q, 1.0))  # 0 * log(1) is 0.0
+    return np.maximum(-terms.sum(axis=1) - (s_rho + s_sigma) / 2.0, 0.0)
 
 
 def swap_uncomplexity(
@@ -182,23 +183,25 @@ def swap_uncomplexity(
     max_iterations = budget + len(remaining) * max(len(sub.edge_list), 1)
     stalled = False
     rho = None  # the pending graph's Gibbs state, rebuilt when an erasure changes it
-    moves = {}  # placement -> (best_i, qjsd1, best_val, next placement) for this pending set
+    moves = {}  # placement -> (SwapStep, next placement) for this pending set
 
     while remaining:
         if m >= max_iterations:
             steps.append(StallStep("iteration cap reached"))
             stalled = True
             break
-        if pos not in moves:
+        fresh = pos not in moves
+        if fresh:
             if rho is None:
                 rho = _gibbs(Graph(graph.n, remaining), beta)
             swapped = exchanges(pos, sub)
             values = _divergences(rho, sigma, [pos] + swapped)
-            best_i = int(np.argmin(values[1:]))  # first minimum = smallest edge
-            moves[pos] = (best_i, float(values[0]), float(values[1 + best_i]), swapped[best_i])
-        best_i, qjsd1, best_val, next_pos = moves[pos]
-        forced = not best_val < qjsd1 - EPS_IMP  # a NaN divergence forces too
-        if forced:
+            best_i = int(values[1:].argmin())  # first minimum = smallest edge
+            qjsd1, best_val = float(values[0]), float(values[1 + best_i])
+            forced = not best_val < qjsd1 - EPS_IMP  # a NaN divergence forces too
+            moves[pos] = SwapStep(sub.edge_list[best_i], qjsd1, best_val, forced), swapped[best_i]
+        step, next_pos = moves[pos]
+        if step.forced:
             if budget <= 0:
                 steps.append(StallStep("stall budget exhausted"))
                 stalled = True
@@ -207,12 +210,13 @@ def swap_uncomplexity(
             steps.append(StallStep("no improving swap; applying least-bad candidate"))
         pos = next_pos
         m += 1
-        steps.append(SwapStep(sub.edge_list[best_i], qjsd1, best_val, forced))
-        still = pending_interactions(remaining, pos, sub.edges)
-        if still != remaining:
-            steps.append(EraseStep(tuple(sorted(remaining - still))))
-            remaining, rho = still, None
-            moves.clear()
+        steps.append(step)
+        if fresh:  # a move still in the memo erased nothing when it was made
+            still = pending_interactions(remaining, pos, sub.edges)
+            if still != remaining:
+                steps.append(EraseStep(tuple(sorted(remaining - still))))
+                remaining, rho = still, None
+                moves.clear()
 
     return m, AlgoTrace(tuple(steps), beta, m, stalled)
 

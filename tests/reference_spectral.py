@@ -16,7 +16,13 @@ import numpy as np
 from swapbound.assignment import Assignment, pending_interactions
 from swapbound.errors import NumericalError, ValidationError
 from swapbound.graphs import Graph
-from swapbound.spectral import check_beta, entropy_of_probs, gibbs_weights, laplacian
+from swapbound.spectral import (
+    check_beta,
+    entropy_of_probs,
+    gibbs_weights,
+    laplacian,
+    laplacian_spectrum,
+)
 
 from conftest import relabel
 
@@ -175,3 +181,43 @@ def aligned_qjsd(ig_remaining: Graph, a: Assignment, beta: float) -> float:
     rho = graph_gibbs(ig_remaining, beta)
     sigma = graph_gibbs(cg_in_ig_frame(a), beta)
     return qjsd(rho, sigma)
+
+
+# --- the descent's Gibbs build and divergence batch, as first written ---------
+#
+# Verbatim copies of ``uncomplexity._gibbs`` and ``uncomplexity._divergences``
+# and of the two spectral helpers ``_gibbs`` calls, from before their numpy
+# calls were trimmed; only the names change, to carry an ``untrimmed_`` prefix.
+# The engine must return bit-identical floats to these.
+
+
+def untrimmed_entropy_of_probs(p) -> float:
+    p = np.maximum(np.asarray(p, dtype=float), 0.0)
+    nz = p[p > 0.0]
+    return float(max(0.0, -np.sum(nz * np.log(nz))))
+
+
+def untrimmed_gibbs_weights(eigenvalues: np.ndarray, beta: float) -> np.ndarray:
+    shifted = np.exp(-beta * (eigenvalues - eigenvalues.min()))
+    total = shifted.sum()
+    if not np.isfinite(total) or total <= 0.0:
+        raise NumericalError("partition function is non-finite or zero")
+    return shifted / total
+
+
+def untrimmed_gibbs(graph: Graph, beta: float) -> tuple[np.ndarray, float]:
+    w, v = laplacian_spectrum(graph)
+    p = untrimmed_gibbs_weights(w, beta)
+    return (v * p) @ v.T, untrimmed_entropy_of_probs(p)
+
+
+def untrimmed_divergences(
+    rho: tuple[np.ndarray, float], sigma: tuple[np.ndarray, float], placements
+) -> np.ndarray:
+    (rho_m, s_rho), (sigma_m, s_sigma) = rho, sigma
+    idx = np.asarray(placements)
+    stacked = (rho_m + sigma_m[idx[:, :, None], idx[:, None, :]]) / 2.0
+    q = np.maximum(np.linalg.eigvalsh(stacked), 0.0)
+    terms = np.where(q > 0.0, q * np.log(np.where(q > 0.0, q, 1.0)), 0.0)
+    entropies = np.maximum(-terms.sum(axis=1), 0.0)
+    return np.maximum(entropies - (s_rho + s_sigma) / 2.0, 0.0)

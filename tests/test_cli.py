@@ -362,6 +362,32 @@ def test_bench_stalled_row_exit_two_other_failure_exit_one(tmp_path, capsys, mon
     assert run_cli(capsys, "bench", str(mpath))[0] == 1
 
 
+def test_bench_summary_counts_stalled_rows_apart_from_failed_ones(
+    tmp_path, capsys, monkeypatch
+):
+    # at beta = 1e-300 no exchange can improve by the strict margin, so the
+    # star4 pair spends its stall budget at the one grid point and its row
+    # stalls; chain3 embeds on line5 and needs no swap at all
+    monkeypatch.setattr("swapbound.uncomplexity.standard_beta_grid", lambda: (1e-300,))
+    for name in ("chain3.json", "star4.json", "line5.json"):
+        (tmp_path / name).write_text((FIXTURES / name).read_text())
+    pairs = [{"circuit": c, "device": "line5.json"} for c in ("chain3.json", "star4.json")]
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text(json.dumps({"pairs": pairs}))
+    code, _, err = run_cli(capsys, "bench", str(mpath), "--out", str(tmp_path / "out"))
+    summary = json.loads((tmp_path / "out" / "bench_summary.json").read_text())
+    assert json.loads(err) == summary
+    assert code == 2
+    assert (summary["failed_rows"], summary["stalled_rows"]) == (1, 1)
+    # a row that fails for another reason adds to failed_rows only, and exits 1
+    pairs.append({"circuit": "missing.json", "device": "line5.json"})
+    mpath.write_text(json.dumps({"pairs": pairs}))
+    code, _, err = run_cli(capsys, "bench", str(mpath))
+    summary = json.loads(err)
+    assert code == 1
+    assert (summary["failed_rows"], summary["stalled_rows"]) == (2, 1)
+
+
 def test_bench_records_non_utf8_row_and_keeps_the_others(tmp_path, capsys):
     (tmp_path / "latin1.json").write_bytes(LATIN1_CIRCUIT)
     for name in ("chain3.json", "line5.json"):

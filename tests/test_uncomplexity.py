@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 from dataclasses import replace
 
@@ -14,7 +16,7 @@ from swapbound.circuits import Circuit, interaction_graph
 from swapbound.errors import SweepError, ValidationError
 from swapbound.graphs import Graph
 from swapbound.oracle import brute_force_min_swaps
-from swapbound.spectral import laplacian_spectrum
+from swapbound.spectral import entropy_curve, gibbs_weights, laplacian_spectrum
 from swapbound.uncomplexity import (
     EraseStep,
     StallStep,
@@ -36,6 +38,7 @@ from conftest import (
     path_graph,
     random_connected_graph,
     random_interaction_graph,
+    relabel,
     scalar_entropy,
     star_graph,
 )
@@ -45,6 +48,10 @@ from reference_spectral import (
     graph_gibbs,
     qjsd,
     remove_trivial_edges,
+    untrimmed_divergences,
+    untrimmed_entropy_of_probs,
+    untrimmed_gibbs,
+    untrimmed_gibbs_weights,
 )
 
 
@@ -341,6 +348,107 @@ def _states_evaluated(ig, a, trace) -> list:
         elif step == StallStep("stall budget exhausted"):
             states.append((remaining, pos))
     return states
+
+
+# sha256 of ``repr`` of the 99 run traces, in grid order, recorded from the
+# descent that re-checked the routing model after every swap; like the CLI
+# goldens, the floats hold for one numpy/LAPACK build
+SWEEP_TRACE_DIGESTS = {
+    "K4@P4": "019d276bd03bea3b4eb0cca5dd8af6cba29cd4619be297f0df750b6a9f5dd256",
+    "C5@P5": "e458f39239206a881b8e905d89cffeb810d856425dd4e0fd62bf5c54fc1e26be",
+}
+
+
+def test_a_revisit_lap_does_no_routing_work(monkeypatch):
+    # A state still in the memo made a move that erased nothing, and the same
+    # move from the same pending set erases nothing again: only the initial
+    # pending set and swaps made from a freshly evaluated state ask the
+    # routing model. The traces stay those of the descent that always asked.
+    traces = []
+    calls = 0
+
+    def run(*args, **kwargs):
+        result = swap_uncomplexity(*args, **kwargs)
+        traces.append(result[1])
+        return result
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return pending_interactions(*args)
+
+    monkeypatch.setattr("swapbound.uncomplexity.swap_uncomplexity", run)
+    monkeypatch.setattr("swapbound.uncomplexity.pending_interactions", counted)
+    fixtures = [
+        ("K4@P4", complete_graph(4), path_graph(4), False),
+        ("C5@P5", cycle_graph(5), path_graph(5), True),
+    ]
+    for name, graph, cg, revisits in fixtures:
+        traces.clear()
+        calls = 0
+        ig = ig_of(graph)
+        a = build_assignment(cg, tuple(range(cg.n)))
+        beta_sweep(ig, a)
+        fresh = swaps = 0
+        for trace in traces:
+            states = _states_evaluated(ig, a, trace)[: trace.swap_count]
+            swaps += len(states)
+            fresh += len(set(states))
+        assert len(traces) == 99
+        assert calls == 99 + fresh
+        assert (fresh < swaps) == revisits
+        digest = hashlib.sha256(repr(traces).encode()).hexdigest()
+        assert digest == SWEEP_TRACE_DIGESTS[name]
+
+
+def test_trimmed_gibbs_and_divergences_are_bit_identical_to_the_untrimmed_ones():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    seen = {"k >= 8": 0, "underflow": 0}
+
+    @st.composite
+    def cases(draw):
+        k = draw(st.integers(2, 9))
+        pairs = list(itertools.combinations(range(k), 2))
+        tree = [(draw(st.integers(0, i - 1)), i) for i in range(1, k)]
+        extra = draw(st.sets(st.sampled_from(pairs)))
+        sub = relabel(graph_from_edges(k, tree + sorted(extra)), draw(st.permutations(range(k))))
+        pending = graph_from_edges(k, draw(st.sets(st.sampled_from(pairs), min_size=1)))
+        beta = draw(st.sampled_from((0.0,) + standard_beta_grid()))
+        pos = tuple(draw(st.permutations(range(k))))
+        return sub, pending, beta, pos
+
+    def same(x, y):
+        x, y = np.asarray(x), np.asarray(y)
+        return np.array_equal(x, y) and repr(x.tolist()) == repr(y.tolist())
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(cases())
+    @hypothesis.example((path_graph(9), complete_graph(9), 1e5, tuple(range(9))))
+    def check(case):
+        sub, pending, beta, pos = case
+        rho, sigma = _gibbs(pending, beta), _gibbs(sub, beta)
+        for (matrix, entropy), graph in ((rho, pending), (sigma, sub)):
+            old_matrix, old_entropy = untrimmed_gibbs(graph, beta)
+            assert same(matrix, old_matrix) and repr(entropy) == repr(old_entropy)
+        placements = [pos] + exchanges(pos, sub)
+        assert same(
+            _divergences(rho, sigma, placements), untrimmed_divergences(rho, sigma, placements)
+        )
+        w, _ = laplacian_spectrum(sub)
+        assert same(gibbs_weights(w, beta), untrimmed_gibbs_weights(w, beta))
+        seen["k >= 8"] += sub.n >= 8
+        seen["underflow"] += bool((gibbs_weights(w, beta) == 0.0).any())
+
+    check()
+    assert all(seen.values())
+    for g in (path_graph(9), complete_graph(8), star_graph(5)):
+        w, _ = laplacian_spectrum(g)
+        expected = [
+            (b, untrimmed_entropy_of_probs(untrimmed_gibbs_weights(w, b)))
+            for b in standard_beta_grid()
+        ]
+        assert repr(entropy_curve(g, standard_beta_grid())) == repr(expected)
 
 
 def test_a_run_that_revisits_a_state_ends_stalled():
