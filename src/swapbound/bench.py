@@ -124,20 +124,14 @@ def run_pair(circuit_path: Path, device_path: Path) -> BenchRow:
     except (SwapBoundError, OSError) as exc:
         row.error = str(exc)
         row.stalled = isinstance(exc, SweepError)
+        if row.stalled:  # the assignment and the diameter bound were found before the sweep
+            row.ged, row.method, row.m_swap_max = exc.ged, exc.method, exc.m_swap_max
     return row
 
 
 def _normalize(values: list[float | None]) -> list[float | None]:
     total = sum(v for v in values if v is not None)
-    out: list[float | None] = []
-    for v in values:
-        if v is None:
-            out.append(None)
-        elif total > 0:
-            out.append(v / total)
-        else:
-            out.append(0.0)
-    return out
+    return [None if v is None else v / total if total > 0 else 0.0 for v in values]
 
 
 def rows_to_csv(rows: list[BenchRow]) -> str:

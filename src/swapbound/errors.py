@@ -39,4 +39,8 @@ class SizeGuardError(ValidationError):
 
 
 class SweepError(SwapBoundError):
-    """Every run of an inverse-temperature sweep stalled."""
+    """Every run of a sweep stalled; ``compute_bound`` sets what it found before the sweep."""
+
+    ged: int | None = None
+    method: str = ""
+    m_swap_max: int | None = None

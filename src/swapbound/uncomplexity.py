@@ -23,13 +23,18 @@ A run evaluates each ``(pending set, placement)`` state once. The
 divergences depend only on the pending graph's Gibbs state, the
 subgraph's and the placement, and the first two are fixed until an
 erasure; so the move chosen from a placement is kept until an erasure
-changes the pending set. A fresh state costs one gather, which stacks the
-mixtures for the placement and every exchange, and one batched
-``eigvalsh``; the pending graph's Gibbs state is built once per pending
-set, its weights and entropy by the same ``spectral`` arithmetic as
-``entropy_curve``. A revisit reuses the trace step a fresh evaluation
-would return and asks the routing model nothing, since a move kept in
-the memo erased nothing when it was made: it costs a dict lookup.
+changes the pending set. A fresh state stacks the mixtures for the
+placement and every exchange; the pending graph's Gibbs state is built
+once per pending set, its weights and entropy by the same ``spectral``
+arithmetic as ``entropy_curve``. A revisit reuses the trace step a fresh
+evaluation would return and asks the routing model nothing, since a move
+kept in the memo erased nothing when it was made: it costs a dict lookup.
+
+A run is a generator (``_descent``) that yields its fresh states and is
+sent their divergences. ``beta_sweep`` advances its 99 runs in lockstep:
+one gather and one batched ``eigvalsh`` per round answer every run that
+asks. The runs are independent, and numpy's ``eigvalsh`` gufunc runs
+LAPACK on each matrix separately, so batching changes no value.
 
 A revisit is a cycle. The move from a state depends on the state alone
 and the pending set only shrinks, so a run that comes back to a state
@@ -87,6 +92,7 @@ class StallStep:
 
 
 TraceStep = Union[SwapStep, EraseStep, StallStep]
+FORCING = StallStep("no improving swap; applying least-bad candidate")  # before a forced swap
 
 
 @dataclass(frozen=True)
@@ -142,15 +148,21 @@ def _divergences(
 ) -> np.ndarray:
     """The divergence between ``rho`` and ``sigma`` relabelled by each placement.
 
+    ``rho`` and ``sigma`` may be stacks, each state with its own placements.
     One gather builds every mixture ``(rho + sigma[p][:, p]) / 2`` at once, and
     one batched ``eigvalsh`` takes all their spectra.
     """
     (rho_m, s_rho), (sigma_m, s_sigma) = rho, sigma
     idx = np.asarray(placements)
-    stacked = (rho_m + sigma_m[idx[:, :, None], idx[:, None, :]]) / 2.0
+    # an index for each stack axis, so a state's placements gather from that state only
+    lead = tuple(i[..., None, None, None] for i in np.indices(idx.shape[:-2], sparse=True))
+    stacked = sigma_m[lead + (idx[..., :, None], idx[..., None, :])]
+    stacked += rho_m[..., None, :, :]
+    stacked /= 2.0
     q = np.maximum(np.linalg.eigvalsh(stacked), 0.0)
     terms = q * np.log(np.where(q > 0.0, q, 1.0))  # 0 * log(1) is 0.0
-    return np.maximum(-terms.sum(axis=1) - (s_rho + s_sigma) / 2.0, 0.0)
+    offset = (np.asarray(s_rho) + s_sigma)[..., None] / 2.0
+    return np.maximum(-terms.sum(axis=-1) - offset, 0.0)
 
 
 def swap_uncomplexity(
@@ -167,6 +179,16 @@ def swap_uncomplexity(
     divergence alone, as in the ultra-high-temperature limit, never ends
     the descent.
     """
+    run, values = _descent(ig, a, beta, stall_budget), None
+    try:
+        while True:
+            values = _divergences(*run.send(values))
+    except StopIteration as end:
+        return end.value
+
+
+def _descent(ig: InteractionGraph, a: Assignment, beta: float, stall_budget: int | None):
+    """One run: yields ``(rho, sigma, placements)`` per fresh state, returns ``(m, trace)``."""
     if stall_budget is not None and stall_budget < 0:
         raise ValidationError("stall_budget must be >= 0")
     beta = check_beta(beta)
@@ -195,7 +217,7 @@ def swap_uncomplexity(
             if rho is None:
                 rho = _gibbs(Graph(graph.n, remaining), beta)
             swapped = exchanges(pos, sub)
-            values = _divergences(rho, sigma, [pos] + swapped)
+            values = yield rho, sigma, [pos] + swapped
             best_i = int(values[1:].argmin())  # first minimum = smallest edge
             qjsd1, best_val = float(values[0]), float(values[1 + best_i])
             forced = not best_val < qjsd1 - EPS_IMP  # a NaN divergence forces too
@@ -207,7 +229,7 @@ def swap_uncomplexity(
                 stalled = True
                 break
             budget -= 1
-            steps.append(StallStep("no improving swap; applying least-bad candidate"))
+            steps.append(FORCING)
         pos = next_pos
         m += 1
         steps.append(step)
@@ -226,21 +248,35 @@ def beta_sweep(
 ) -> SweepResult:
     """Minimum swap count over the standard grid; ties resolve to the smallest beta.
 
-    Stalled runs are excluded from the minimum. If every run stalls,
-    raises :class:`SweepError`.
+    The runs advance in lockstep. Stalled runs are excluded from the
+    minimum. If every run stalls, raises :class:`SweepError`.
     """
     if stall_budget is None:
         stall_budget = max_swap_bound(ig, a)
-    per_beta: list[tuple[float, int, bool]] = []
-    best: AlgoTrace | None = None
-    for b in standard_beta_grid():
-        m, trace = swap_uncomplexity(ig, a, b, stall_budget=stall_budget)
-        per_beta.append((b, m, trace.stalled))
-        if not trace.stalled and (best is None or m < best.swap_count):
-            best = trace
-    if best is None:
+    grid = standard_beta_grid()
+    runs = [_descent(ig, a, b, stall_budget) for b in grid]
+    per_beta: list = [None] * len(grid)
+    best = (float("inf"), 0, None)  # (m, grid index, trace) of the winning run so far
+    replies = dict.fromkeys(range(len(grid)))  # run index -> divergences; None starts a run
+    while replies:
+        asks = {}
+        for i, values in replies.items():
+            try:
+                asks[i] = runs[i].send(values)
+            except StopIteration as end:  # keep (beta, m, stalled), and the trace if best
+                m, trace = end.value
+                per_beta[i] = (grid[i], m, trace.stalled)
+                if not trace.stalled:
+                    best = min(best, (m, i, trace))
+        if not asks:
+            break
+        rhos, sigmas, placements = zip(*asks.values())  # 1 + |E_sub| placements each
+        stack = [tuple(map(np.array, zip(*states))) for states in (rhos, sigmas)]
+        replies = dict(zip(asks, _divergences(*stack, placements)))
+    m, _, trace = best
+    if trace is None:
         raise SweepError("every sweep run stalled")
-    return SweepResult(best.beta, best.swap_count, tuple(per_beta), best)
+    return SweepResult(trace.beta, m, tuple(per_beta), trace)
 
 
 def compute_bound(
@@ -266,7 +302,11 @@ def compute_bound(
         stall_budget = m_max
     t0 = time.perf_counter()
     if beta is None:
-        sweep = beta_sweep(ig, a, stall_budget=stall_budget)
+        try:
+            sweep = beta_sweep(ig, a, stall_budget=stall_budget)
+        except SweepError as exc:
+            exc.ged, exc.method, exc.m_swap_max = placed.ged, placed.method, m_max
+            raise
         trace, beta, per_beta = sweep.trace, sweep.beta_star, sweep.per_beta
     else:
         _, trace = swap_uncomplexity(ig, a, beta, stall_budget=stall_budget)

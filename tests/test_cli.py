@@ -374,11 +374,19 @@ def test_bench_summary_counts_stalled_rows_apart_from_failed_ones(
     pairs = [{"circuit": c, "device": "line5.json"} for c in ("chain3.json", "star4.json")]
     mpath = tmp_path / "manifest.json"
     mpath.write_text(json.dumps({"pairs": pairs}))
-    code, _, err = run_cli(capsys, "bench", str(mpath), "--out", str(tmp_path / "out"))
+    code, out, err = run_cli(capsys, "bench", str(mpath), "--out", str(tmp_path / "out"))
     summary = json.loads((tmp_path / "out" / "bench_summary.json").read_text())
     assert json.loads(err) == summary
     assert code == 2
     assert (summary["failed_rows"], summary["stalled_rows"]) == (1, 1)
+    # the stalled row keeps the assignment and the diameter bound found before
+    # the sweep: the values `swapbound assign` prints for star4@line5
+    header, _, stalled = csv.reader(io.StringIO(out))
+    row = dict(zip(header, stalled))
+    assert (row["stalled"], row["ged"], row["method"], row["m_swap_max"]) == (
+        "true", "2", "similarity", "6"
+    )
+    assert (row["u_swap"], row["beta_star"], row["oracle"]) == ("", "", "")
     # a row that fails for another reason adds to failed_rows only, and exits 1
     pairs.append({"circuit": "missing.json", "device": "line5.json"})
     mpath.write_text(json.dumps({"pairs": pairs}))

@@ -21,6 +21,8 @@ from swapbound.uncomplexity import (
     EraseStep,
     StallStep,
     SwapStep,
+    SweepResult,
+    _descent,
     _divergences,
     _gibbs,
     beta_sweep,
@@ -280,24 +282,20 @@ def test_trace_grammar_of_the_single_swap_path():
 
 
 def test_sweep_calls_go_through_the_traced_module_names(monkeypatch):
-    # perfbench's tracer counts runs, spectra and eigvalsh batches by patching
+    # perfbench's tracer counts spectra and eigvalsh batches by patching
     # these names; a descent that bypassed them would zero its counts.
-    traces = []
-    calls = {"spectra": 0, "eigvalsh": 0}
-
-    def run(*args, **kwargs):
-        result = swap_uncomplexity(*args, **kwargs)
-        traces.append(result[1])
-        return result
+    sweep = _sweep_traces(monkeypatch)
+    calls = {"spectra": 0, "eigvalsh": 0, "matrices": 0}
 
     def counted(name, fn):
         def wrapper(*args):
             calls[name] += 1
+            if name == "eigvalsh":
+                calls["matrices"] += int(np.prod(args[0].shape[:-2]))
             return fn(*args)
 
         return wrapper
 
-    monkeypatch.setattr("swapbound.uncomplexity.swap_uncomplexity", run)
     monkeypatch.setattr(
         "swapbound.uncomplexity.laplacian_spectrum", counted("spectra", laplacian_spectrum)
     )
@@ -305,11 +303,10 @@ def test_sweep_calls_go_through_the_traced_module_names(monkeypatch):
     # K4@P4 never comes back to a state; C5@P5 walks forced-swap cycles
     fixtures = [(complete_graph(4), path_graph(4), False), (cycle_graph(5), path_graph(5), True)]
     for graph, cg, revisits in fixtures:
-        traces.clear()
-        calls.update(spectra=0, eigvalsh=0)
+        calls.update(spectra=0, eigvalsh=0, matrices=0)
         ig = ig_of(graph)
         a = build_assignment(cg, tuple(range(cg.n)))
-        beta_sweep(ig, a)
+        traces = [trace for _, trace in sweep(ig, a)[1]]
         iterations = sum(t.iterations for t in traces)
         assert len(traces) == 99
         assert iterations > 99
@@ -320,11 +317,105 @@ def test_sweep_calls_go_through_the_traced_module_names(monkeypatch):
         pending_sets = sum(len({pending for pending, _ in run}) for run in evaluated)
         assert calls["spectra"] == 99 + pending_sets
         assert calls["spectra"] < 99 + iterations
-        # one batch per distinct (pending set, placement) state a run evaluates;
-        # a revisited state reuses the move chosen on its first visit
+        # one matrix per candidate placement of each distinct (pending set,
+        # placement) state a run evaluates, the state's own and one per
+        # subgraph edge; a revisited state reuses the move chosen on its first
+        # visit
         states = sum(len(run) for run in evaluated)
-        assert calls["eigvalsh"] == states
+        assert calls["matrices"] == states * (1 + len(a.cg_subgraph.edge_list))
         assert (states < iterations) == revisits
+        # one batch per lockstep round, and every live run asks once a round,
+        # so there are as many rounds as the longest run evaluates states
+        assert calls["eigvalsh"] == max(len(run) for run in evaluated) < states
+
+
+def _sweep_traces(monkeypatch):
+    """``beta_sweep`` as a function that returns its result (or the ``SweepError``
+    it raised) and every run's ``(m, trace)`` in grid order, collected from the
+    runs the lockstep driver advances."""
+    runs = {}
+
+    def collected(ig, a, beta, stall_budget):
+        runs[beta] = yield from _descent(ig, a, beta, stall_budget)
+        return runs[beta]
+
+    def sweep(ig, a, **kwargs):
+        runs.clear()
+        try:
+            outcome = beta_sweep(ig, a, **kwargs)
+        except SweepError as exc:
+            outcome = exc
+        return outcome, [runs[b] for b in sorted(runs)]
+
+    monkeypatch.setattr("swapbound.uncomplexity._descent", collected)
+    return sweep
+
+
+def test_lockstep_sweep_is_bit_identical_to_the_plain_loop(monkeypatch):
+    # The sweep's runs share each round's gather and batched eigvalsh; every
+    # run's (m, trace), the sweep's result and its errors must still be those
+    # of running the grid one beta at a time.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    sweep = _sweep_traces(monkeypatch)
+    cases_seen = ["no request", "stalled", "one point", "all stalled", "invalid", "k >= 7"]
+    seen = dict.fromkeys(cases_seen, 0)
+
+    @st.composite
+    def connected(draw, n):
+        pairs = list(itertools.combinations(range(n), 2))
+        tree = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+        extra = draw(st.sets(st.sampled_from(pairs)))
+        return relabel(graph_from_edges(n, tree + sorted(extra)), draw(st.permutations(range(n))))
+
+    @st.composite
+    def cases(draw):
+        k = draw(st.integers(2, 8))
+        ig, cg = draw(connected(k)), draw(connected(draw(st.integers(k, k + 2))))
+        points = st.sampled_from(standard_beta_grid() + (1e-300,)).map(lambda b: (b,))
+        grid = draw(st.one_of(st.none(), points))
+        return ig, cg, grid, draw(st.sampled_from((None, 0, -1)))
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(cases())
+    @hypothesis.example((path_graph(3), path_graph(4), None, None))
+    @hypothesis.example((star_graph(4), path_graph(5), (1e-300,), 0))
+    @hypothesis.example((cycle_graph(5), path_graph(5), None, -1))
+    def check(case):
+        graph, cg, grid, stall_budget = case
+        ig = ig_of(graph)
+        a = assign_qubits(ig, cg).assignment
+        betas = grid or standard_beta_grid()
+        with monkeypatch.context() as patch:
+            patch.setattr("swapbound.uncomplexity.standard_beta_grid", lambda: betas)
+            try:
+                plain = [swap_uncomplexity(ig, a, b, stall_budget=stall_budget) for b in betas]
+            except ValidationError as exc:
+                with pytest.raises(ValidationError) as raised:
+                    sweep(ig, a, stall_budget=stall_budget)
+                assert repr(raised.value) == repr(exc)
+                seen["invalid"] += 1
+                return
+            outcome, runs = sweep(ig, a, stall_budget=stall_budget)
+        assert repr(runs) == repr(plain)
+        # the sweep the plain loop gives: first minimum over the runs that did not stall
+        per_beta, best = [], None
+        for b, (m, trace) in zip(betas, plain):
+            per_beta.append((b, m, trace.stalled))
+            if not trace.stalled and (best is None or m < best.swap_count):
+                best = trace
+        expected = SweepError("every sweep run stalled")
+        if best is not None:
+            expected = SweepResult(best.beta, best.swap_count, tuple(per_beta), best)
+        assert repr(outcome) == repr(expected)
+        seen["no request"] += all(m == 0 and not t.stalled for m, t in plain)
+        seen["stalled"] += any(t.stalled for _, t in plain) and best is not None
+        seen["one point"] += len(betas) == 1
+        seen["all stalled"] += best is None
+        seen["k >= 7"] += ig.graph.n >= 7
+
+    check()
+    assert all(seen.values()), seen
 
 
 def _states_evaluated(ig, a, trace) -> list:
@@ -364,31 +455,24 @@ def test_a_revisit_lap_does_no_routing_work(monkeypatch):
     # move from the same pending set erases nothing again: only the initial
     # pending set and swaps made from a freshly evaluated state ask the
     # routing model. The traces stay those of the descent that always asked.
-    traces = []
+    sweep = _sweep_traces(monkeypatch)
     calls = 0
-
-    def run(*args, **kwargs):
-        result = swap_uncomplexity(*args, **kwargs)
-        traces.append(result[1])
-        return result
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return pending_interactions(*args)
 
-    monkeypatch.setattr("swapbound.uncomplexity.swap_uncomplexity", run)
     monkeypatch.setattr("swapbound.uncomplexity.pending_interactions", counted)
     fixtures = [
         ("K4@P4", complete_graph(4), path_graph(4), False),
         ("C5@P5", cycle_graph(5), path_graph(5), True),
     ]
     for name, graph, cg, revisits in fixtures:
-        traces.clear()
         calls = 0
         ig = ig_of(graph)
         a = build_assignment(cg, tuple(range(cg.n)))
-        beta_sweep(ig, a)
+        traces = [trace for _, trace in sweep(ig, a)[1]]
         fresh = swaps = 0
         for trace in traces:
             states = _states_evaluated(ig, a, trace)[: trace.swap_count]
