@@ -89,13 +89,7 @@ def _load_pair(args):
 
 def cmd_bound(args) -> int:
     circuit, device, ig = _load_pair(args)
-    report = compute_bound(
-        ig,
-        device.coupling,
-        beta=args.beta,
-        class_budget=args.class_budget,
-        stall_budget=args.stall_budget,
-    )
+    report = compute_bound(ig, device.coupling, beta=args.beta, class_budget=args.class_budget)
     _write(
         report_to_json(report, circuit.name, device.name),
         args.format,
@@ -145,7 +139,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_sweep(args) -> int:
     circuit, device, ig = _load_pair(args)
-    report = compute_bound(ig, device.coupling, stall_budget=args.stall_budget)
+    report = compute_bound(ig, device.coupling)
     sys.stdout.write(csv_text(["beta", "m", "stalled"], report.per_beta))
     return EXIT_OK
 
@@ -199,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="single inverse temperature (default: sweep the standard grid)",
     )
     p_bound.add_argument("--format", choices=["json", "csv"], default="json")
-    p_bound.add_argument("--stall-budget", type=int)
     p_bound.add_argument("--class-budget", type=int, default=DEFAULT_CLASS_BUDGET)
     p_bound.set_defaults(func=cmd_bound)
 
@@ -220,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="per-beta swap counts as CSV")
     add_pair(p_sweep)
-    p_sweep.add_argument("--stall-budget", type=int)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_curve = sub.add_parser("curve", help="entropy as a function of beta, CSV")

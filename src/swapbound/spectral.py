@@ -68,6 +68,8 @@ def gibbs_weights(eigenvalues: np.ndarray, beta: float) -> np.ndarray:
 
 def entropy_curve(g: Graph, betas: Sequence[float]) -> list[tuple[float, float]]:
     """Entropy of the graph's Gibbs state at each beta (ascending grid)."""
+    if g.n == 0:
+        raise ValidationError("entropy curve of the empty graph is undefined")
     betas = [check_beta(b) for b in betas]
     if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
         raise ValidationError("beta grid must be strictly ascending")

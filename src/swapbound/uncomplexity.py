@@ -16,8 +16,11 @@ instances (``oracle`` can be smaller than ``u_swap``).
 Every iteration takes one swap path. The pending set is closed under the
 placement at the start and after every swap, so when no exchange improves
 the divergence there is nothing to erase either: the least-bad exchange
-is then applied anyway (a forced swap) against a finite stall budget,
-and runs that exhaust it are flagged rather than aborted.
+is then applied anyway (a forced swap) against a stall budget, and runs
+that exhaust it are flagged rather than aborted. The budget is
+``m_swap_max``: the diameter schedule already routes every gate with that
+many swaps, so a run that spends more forced swaps counts more than it
+needs and cannot give a useful estimate.
 
 A run evaluates each ``(pending set, placement)`` state once. The
 divergences depend only on the pending graph's Gibbs state, the
@@ -165,13 +168,7 @@ def _divergences(
     return np.maximum(-terms.sum(axis=-1) - offset, 0.0)
 
 
-def swap_uncomplexity(
-    ig: InteractionGraph,
-    a: Assignment,
-    beta: float,
-    *,
-    stall_budget: int | None = None,
-) -> tuple[int, AlgoTrace]:
+def swap_uncomplexity(ig: InteractionGraph, a: Assignment, beta: float) -> tuple[int, AlgoTrace]:
     """Swap count of the divergence descent at one inverse temperature.
 
     Returns ``(m, trace)``. A run that does not stall counts zero exactly
@@ -179,7 +176,12 @@ def swap_uncomplexity(
     divergence alone, as in the ultra-high-temperature limit, never ends
     the descent.
     """
-    run, values = _descent(ig, a, beta, stall_budget), None
+    return _run(ig, a, beta, max_swap_bound(ig, a))
+
+
+def _run(ig: InteractionGraph, a: Assignment, beta: float, budget: int) -> tuple[int, AlgoTrace]:
+    """One descent with ``budget`` forced swaps, driven to its end on its own."""
+    run, values = _descent(ig, a, beta, budget), None
     try:
         while True:
             values = _divergences(*run.send(values))
@@ -187,10 +189,8 @@ def swap_uncomplexity(
         return end.value
 
 
-def _descent(ig: InteractionGraph, a: Assignment, beta: float, stall_budget: int | None):
+def _descent(ig: InteractionGraph, a: Assignment, beta: float, budget: int):
     """One run: yields ``(rho, sigma, placements)`` per fresh state, returns ``(m, trace)``."""
-    if stall_budget is not None and stall_budget < 0:
-        raise ValidationError("stall_budget must be >= 0")
     beta = check_beta(beta)
     graph = ig.graph
     if graph.n != a.cg_subgraph.n:
@@ -201,7 +201,6 @@ def _descent(ig: InteractionGraph, a: Assignment, beta: float, stall_budget: int
     remaining = pending_interactions(graph.edges, pos, sub.edges)
     steps: list[TraceStep] = []
     m = 0
-    budget = stall_budget if stall_budget is not None else max_swap_bound(ig, a)
     max_iterations = budget + len(remaining) * max(len(sub.edge_list), 1)
     stalled = False
     rho = None  # the pending graph's Gibbs state, rebuilt when an erasure changes it
@@ -243,18 +242,19 @@ def _descent(ig: InteractionGraph, a: Assignment, beta: float, stall_budget: int
     return m, AlgoTrace(tuple(steps), beta, m, stalled)
 
 
-def beta_sweep(
-    ig: InteractionGraph, a: Assignment, *, stall_budget: int | None = None
-) -> SweepResult:
+def beta_sweep(ig: InteractionGraph, a: Assignment) -> SweepResult:
     """Minimum swap count over the standard grid; ties resolve to the smallest beta.
 
     The runs advance in lockstep. Stalled runs are excluded from the
     minimum. If every run stalls, raises :class:`SweepError`.
     """
-    if stall_budget is None:
-        stall_budget = max_swap_bound(ig, a)
+    return _sweep(ig, a, max_swap_bound(ig, a))
+
+
+def _sweep(ig: InteractionGraph, a: Assignment, budget: int) -> SweepResult:
+    """``beta_sweep`` with ``budget`` forced swaps per run."""
     grid = standard_beta_grid()
-    runs = [_descent(ig, a, b, stall_budget) for b in grid]
+    runs = [_descent(ig, a, b, budget) for b in grid]
     per_beta: list = [None] * len(grid)
     best = (float("inf"), 0, None)  # (m, grid index, trace) of the winning run so far
     replies = dict.fromkeys(range(len(grid)))  # run index -> divergences; None starts a run
@@ -285,7 +285,6 @@ def compute_bound(
     *,
     beta: float | None = None,
     class_budget: int = DEFAULT_CLASS_BUDGET,
-    stall_budget: int | None = None,
 ) -> BoundReport:
     """The whole pipeline: assignment, max bound, then the divergence bound.
 
@@ -298,18 +297,16 @@ def compute_bound(
     assign_ms = (time.perf_counter() - t0) * 1000
     a = placed.assignment
     m_max = max_swap_bound(ig, a)
-    if stall_budget is None:
-        stall_budget = m_max
     t0 = time.perf_counter()
     if beta is None:
         try:
-            sweep = beta_sweep(ig, a, stall_budget=stall_budget)
+            sweep = _sweep(ig, a, m_max)
         except SweepError as exc:
             exc.ged, exc.method, exc.m_swap_max = placed.ged, placed.method, m_max
             raise
         trace, beta, per_beta = sweep.trace, sweep.beta_star, sweep.per_beta
     else:
-        _, trace = swap_uncomplexity(ig, a, beta, stall_budget=stall_budget)
+        _, trace = _run(ig, a, beta, m_max)
         per_beta = None
     sweep_ms = (time.perf_counter() - t0) * 1000
     m, stalled = trace.swap_count, trace.stalled

@@ -190,31 +190,32 @@ def test_oracle_json_both_scopes(tmp_path, capsys, extra, scope):
 
 
 def test_bound_stall_exit_two(capsys):
-    # ultra-high temperature with no stall budget cannot make progress on a
-    # non-matching pair: the run must flag the stall through the exit code
+    # at ultra-high temperature no exchange improves by the strict margin on a
+    # non-matching pair: the run spends its m_swap_max forced swaps and must
+    # flag the stall through the exit code
     code, out, _ = run_cli(
         capsys,
         "bound",
         "--circuit", str(FIXTURES / "star4.json"),
         "--device", str(FIXTURES / "line5.json"),
         "--beta", "1e-300",
-        "--stall-budget", "0",
     )
     assert code == 2
-    assert json.loads(out)["stalled"] is True
+    doc = json.loads(out)
+    assert doc["stalled"] is True
+    assert doc["u_swap"] == doc["m_swap_max"] == 6
 
 
 @pytest.mark.parametrize("command", ["bound", "sweep"])
 def test_every_sweep_run_stalled_exit_two(capsys, monkeypatch, command):
-    # one ultra-high-temperature grid point with no stall budget stalls the
-    # whole sweep: no report, one error line
+    # one ultra-high-temperature grid point, where the run spends its stall
+    # budget, stalls the whole sweep: no report, one error line
     monkeypatch.setattr("swapbound.uncomplexity.standard_beta_grid", lambda: (1e-300,))
     code, out, err = run_cli(
         capsys,
         command,
         "--circuit", str(FIXTURES / "star4.json"),
         "--device", str(FIXTURES / "line5.json"),
-        "--stall-budget", "0",
     )
     assert (code, out, err) == (2, "", "error: every sweep run stalled\n")
 
@@ -271,6 +272,22 @@ def test_curve_of_one_qubit_prints_zero_not_negative_zero(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "curve", "--circuit", str(path))
     assert code == 0
     assert [line.split(",")[1] for line in out.strip().split("\n")[1:]] == ["0"] * 99
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("zero.json", json.dumps({"qubits": 0, "gates": []})),
+        ("zero.qasm", 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[0];\n'),
+    ],
+    ids=["json", "qasm"],
+)
+def test_curve_of_zero_qubits_exits_input(tmp_path, capsys, name, text):
+    # a zero-qubit circuit has no Gibbs state: one error line, not a traceback
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "curve", "--circuit", str(path))
+    assert (code, out, err) == (1, "", "error: entropy curve of the empty graph is undefined\n")
 
 
 def test_output_determinism(capsys):
@@ -534,20 +551,29 @@ def test_bench_artifacts_match_golden(tmp_path, capsys):
 
 def test_sandwich_violations_only_flag_relations_that_hold(tmp_path):
     # the descent needs 3 swaps where the optimum needs 2: u_swap > oracle is
-    # legitimate, so the pair must not be reported as a violation
-    (tmp_path / "c.json").write_text(
-        json.dumps({"qubits": 5, "gates": [[0, 2], [0, 3], [0, 4], [1, 2], [1, 3], [1, 4], [2, 4]]})
-    )
-    (tmp_path / "d.json").write_text(
-        json.dumps(
-            {"num_qubits": 7, "edges": [[0, 4], [0, 6], [1, 2], [1, 4], [1, 5], [3, 5], [4, 6]]}
-        )
-    )
+    # legitimate, so neither pair may be reported as a violation. The first
+    # pair's count rests on the rounding of its winning run; the second's
+    # holds at every one of its 60 non-stalled betas, and its improving steps
+    # beat the strict margin by at least 5e-12.
+    pairs = [
+        (
+            (5, [[0, 2], [0, 3], [0, 4], [1, 2], [1, 3], [1, 4], [2, 4]]),
+            (7, [[0, 4], [0, 6], [1, 2], [1, 4], [1, 5], [3, 5], [4, 6]]),
+        ),
+        (
+            (5, [[0, 2], [0, 3], [0, 4], [1, 2], [1, 3], [2, 4], [3, 4]]),
+            (6, [[0, 4], [1, 2], [1, 3], [2, 3], [2, 4], [3, 5]]),
+        ),
+    ]
+    for i, ((qubits, gates), (nodes, edges)) in enumerate(pairs):
+        (tmp_path / f"c{i}.json").write_text(json.dumps({"qubits": qubits, "gates": gates}))
+        (tmp_path / f"d{i}.json").write_text(json.dumps({"num_qubits": nodes, "edges": edges}))
     (tmp_path / "m.json").write_text(
-        json.dumps({"pairs": [{"circuit": "c.json", "device": "d.json"}]})
+        json.dumps({"pairs": [{"circuit": f"c{i}.json", "device": f"d{i}.json"} for i in (0, 1)]})
     )
     rows = [run_pair(c, d) for c, d in load_manifest(tmp_path / "m.json")]
-    assert (rows[0].u_swap, rows[0].oracle) == (3, 2)
+    assert [(r.u_swap, r.oracle) for r in rows] == [(3, 2), (3, 2)]
+    assert (rows[1].beta_star, rows[1].m_swap_max) == (1e-5, 14)
     summary = bench_summary(rows, standard_beta_grid())
     assert summary["sandwich_violations"] == []
 
@@ -567,14 +593,12 @@ def test_usage_errors_exit_input(capsys):
     pair = ["--circuit", str(FIXTURES / "paw4.json"), "--device", str(FIXTURES / "tshape7.json")]
     assert main(["bound", *pair, "--format", "yaml"]) == 1
     assert main(["bound", *pair, "--sweep"]) == 1  # sweeping is the default, not a flag
-    for argv, message in (
-        (["bound", *pair, "--stall-budget", "-1"], "stall_budget must be >= 0"),
-        (["sweep", *pair, "--stall-budget", "-1"], "stall_budget must be >= 0"),
-        (["assign", *pair, "--class-budget", "0"], "class_budget must be >= 1"),
-    ):
-        capsys.readouterr()
-        assert main(argv) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+    # the stall budget is m_swap_max, not a flag
+    assert main(["bound", *pair, "--stall-budget", "0"]) == 1
+    assert main(["sweep", *pair, "--stall-budget", "0"]) == 1
+    capsys.readouterr()
+    assert main(["assign", *pair, "--class-budget", "0"]) == 1
+    assert capsys.readouterr().err == "error: class_budget must be >= 1\n"
 
 
 def test_bench_row_matches_compute_bound():

@@ -13,11 +13,12 @@ from swapbound.assignment import (
     pending_interactions,
 )
 from swapbound.circuits import Circuit, interaction_graph
-from swapbound.errors import SweepError, ValidationError
+from swapbound.errors import SweepError
 from swapbound.graphs import Graph
 from swapbound.oracle import brute_force_min_swaps
 from swapbound.spectral import entropy_curve, gibbs_weights, laplacian_spectrum
 from swapbound.uncomplexity import (
+    AlgoTrace,
     EraseStep,
     StallStep,
     SwapStep,
@@ -25,6 +26,7 @@ from swapbound.uncomplexity import (
     _descent,
     _divergences,
     _gibbs,
+    _run,
     beta_sweep,
     compute_bound,
     standard_beta_grid,
@@ -252,23 +254,28 @@ CAP = StallStep("iteration cap reached")
 
 def test_trace_grammar_of_the_single_swap_path():
     # A forced swap directly follows the forcing stall, an erase only follows
-    # a swap, and any other stall ends a stalled run.
+    # a swap, and any other stall ends a stalled run. A run spends at most its
+    # stall budget on forced swaps, all of it when the budget ends the run;
+    # the public run's budget is m_swap_max.
     rng = np.random.default_rng(137)
-    forced = stalled = 0
+    forced = stalled = exhausted = 0
     for _ in range(120):
         k = int(rng.integers(3, 7))
         ig = random_interaction_graph(rng, k)
         cg = random_connected_graph(rng, int(rng.integers(k, 9)), 0.35)
         a = assign_qubits(ig, cg).assignment
+        m_max = max_swap_bound(ig, a)
         for beta in (1e-300, 1e-4, 1.0, 9e5):
-            for stall_budget in (None, 0, 2):
-                _, trace = swap_uncomplexity(ig, a, beta, stall_budget=stall_budget)
+            runs = [(m_max, swap_uncomplexity(ig, a, beta))]
+            runs += [(budget, _run(ig, a, beta, budget)) for budget in (0, 2)]
+            for budget, (_, trace) in runs:
                 steps = trace.steps
+                run_forced = 0
                 for i, step in enumerate(steps):
                     before = steps[i - 1] if i else None
                     if isinstance(step, SwapStep):
                         assert step.forced == (before == FORCING)
-                        forced += step.forced
+                        run_forced += step.forced
                     elif isinstance(step, EraseStep):
                         assert isinstance(before, SwapStep)
                     elif step == FORCING:
@@ -277,8 +284,13 @@ def test_trace_grammar_of_the_single_swap_path():
                         assert i == len(steps) - 1
                 ends_in_stall = bool(steps) and isinstance(steps[-1], StallStep)
                 assert trace.stalled == ends_in_stall
+                assert run_forced <= budget
+                if steps[-1:] == (StallStep("stall budget exhausted"),):
+                    assert run_forced == budget
+                    exhausted += budget == m_max > 0
+                forced += run_forced
                 stalled += trace.stalled
-    assert forced > 0 and stalled > 0
+    assert forced > 0 and stalled > 0 and exhausted > 0
 
 
 def test_sweep_calls_go_through_the_traced_module_names(monkeypatch):
@@ -335,14 +347,14 @@ def _sweep_traces(monkeypatch):
     runs the lockstep driver advances."""
     runs = {}
 
-    def collected(ig, a, beta, stall_budget):
-        runs[beta] = yield from _descent(ig, a, beta, stall_budget)
+    def collected(ig, a, beta, budget):
+        runs[beta] = yield from _descent(ig, a, beta, budget)
         return runs[beta]
 
-    def sweep(ig, a, **kwargs):
+    def sweep(ig, a):
         runs.clear()
         try:
-            outcome = beta_sweep(ig, a, **kwargs)
+            outcome = beta_sweep(ig, a)
         except SweepError as exc:
             outcome = exc
         return outcome, [runs[b] for b in sorted(runs)]
@@ -358,7 +370,7 @@ def test_lockstep_sweep_is_bit_identical_to_the_plain_loop(monkeypatch):
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     sweep = _sweep_traces(monkeypatch)
-    cases_seen = ["no request", "stalled", "one point", "all stalled", "invalid", "k >= 7"]
+    cases_seen = ["no request", "stalled", "one point", "all stalled", "k >= 7"]
     seen = dict.fromkeys(cases_seen, 0)
 
     @st.composite
@@ -373,30 +385,22 @@ def test_lockstep_sweep_is_bit_identical_to_the_plain_loop(monkeypatch):
         k = draw(st.integers(2, 8))
         ig, cg = draw(connected(k)), draw(connected(draw(st.integers(k, k + 2))))
         points = st.sampled_from(standard_beta_grid() + (1e-300,)).map(lambda b: (b,))
-        grid = draw(st.one_of(st.none(), points))
-        return ig, cg, grid, draw(st.sampled_from((None, 0, -1)))
+        return ig, cg, draw(st.one_of(st.none(), points))
 
     @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @hypothesis.given(cases())
-    @hypothesis.example((path_graph(3), path_graph(4), None, None))
-    @hypothesis.example((star_graph(4), path_graph(5), (1e-300,), 0))
-    @hypothesis.example((cycle_graph(5), path_graph(5), None, -1))
+    @hypothesis.example((path_graph(3), path_graph(4), None))
+    @hypothesis.example((star_graph(4), path_graph(5), (1e-300,)))
+    @hypothesis.example((cycle_graph(5), path_graph(5), None))
     def check(case):
-        graph, cg, grid, stall_budget = case
+        graph, cg, grid = case
         ig = ig_of(graph)
         a = assign_qubits(ig, cg).assignment
         betas = grid or standard_beta_grid()
         with monkeypatch.context() as patch:
             patch.setattr("swapbound.uncomplexity.standard_beta_grid", lambda: betas)
-            try:
-                plain = [swap_uncomplexity(ig, a, b, stall_budget=stall_budget) for b in betas]
-            except ValidationError as exc:
-                with pytest.raises(ValidationError) as raised:
-                    sweep(ig, a, stall_budget=stall_budget)
-                assert repr(raised.value) == repr(exc)
-                seen["invalid"] += 1
-                return
-            outcome, runs = sweep(ig, a, stall_budget=stall_budget)
+            plain = [swap_uncomplexity(ig, a, b) for b in betas]
+            outcome, runs = sweep(ig, a)
         assert repr(runs) == repr(plain)
         # the sweep the plain loop gives: first minimum over the runs that did not stall
         per_beta, best = [], None
@@ -547,8 +551,7 @@ def test_a_run_that_revisits_a_state_ends_stalled():
         cg = random_connected_graph(rng, int(rng.integers(k, 9)), 0.35)
         a = assign_qubits(ig, cg).assignment
         for beta in (1e-300, 1e-2, 1.0, 100.0):
-            for stall_budget in (None, 3):
-                _, trace = swap_uncomplexity(ig, a, beta, stall_budget=stall_budget)
+            for _, trace in (swap_uncomplexity(ig, a, beta), _run(ig, a, beta, 3)):
                 states = _states_evaluated(ig, a, trace)
                 assert len(states) == trace.iterations - (trace.steps[-1:] == (CAP,))
                 if len(set(states)) < len(states):
@@ -597,21 +600,25 @@ def test_deterministic_traces():
 
 
 def test_stall_budget_zero_flags_stall():
-    # An interaction the subgraph cannot relieve in one improving move may
-    # stall immediately when the budget is zero; the run must flag it.
+    # At ultra-high temperature no exchange improves by the strict margin, so
+    # every swap is forced: a zero budget stalls before the first one, and the
+    # public run stalls after spending its budget, m_swap_max forced swaps.
     ig = ig_of(star_graph(4))
     a = build_assignment(path_graph(4), (0, 1, 2, 3))
-    m, trace = swap_uncomplexity(ig, a, 1e-3, stall_budget=0)
-    if trace.stalled:
-        assert any(isinstance(s, StallStep) for s in trace.steps)
-    else:
-        assert m >= 1
+    exhausted = StallStep("stall budget exhausted")
+    assert _run(ig, a, 1e-300, 0) == (0, AlgoTrace((exhausted,), 1e-300, 0, True))
+    m, trace = swap_uncomplexity(ig, a, 1e-300)
+    assert m == max_swap_bound(ig, a) == 6
+    assert trace.stalled and trace.steps[-1] == exhausted
+    assert sum(isinstance(s, SwapStep) and s.forced for s in trace.steps) == m
 
 
 def test_iteration_cap_ends_a_run_that_keeps_improving(monkeypatch):
     # every move reports an improvement, so neither the stall budget nor the
     # memo's cycle ends the run: the first edge is swapped back and forth and
-    # the pending interaction (0, 3) never becomes adjacent
+    # the pending interaction (0, 3) never becomes adjacent; the cap is the
+    # stall budget, m_swap_max = 4 gates * (diameter 3 - 1), plus one sweep
+    # of the subgraph's edges per pending interaction
     ig = ig_of(cycle_graph(4))
     a = build_assignment(path_graph(4), (0, 1, 2, 3))
     sub = a.cg_subgraph
@@ -620,9 +627,9 @@ def test_iteration_cap_ends_a_run_that_keeps_improving(monkeypatch):
         "swapbound.uncomplexity._divergences",
         lambda rho, sigma, placements: np.array([1.0] + [0.0] * (len(placements) - 1)),
     )
-    m, trace = swap_uncomplexity(ig, a, 1.0, stall_budget=2)
+    m, trace = swap_uncomplexity(ig, a, 1.0)
     assert pending == {(0, 3)}
-    assert m == 2 + len(pending) * len(sub.edge_list) == 5
+    assert m == max_swap_bound(ig, a) + len(pending) * len(sub.edge_list) == 8 + 1 * 3
     assert trace.steps[:-1] == tuple(SwapStep((0, 1), 1.0, 0.0) for _ in range(m))
     assert trace.steps[-1] == StallStep("iteration cap reached")
     assert trace.stalled
@@ -648,11 +655,11 @@ def test_beta_sweep_star_case():
 def test_beta_sweep_all_stalled_raises(monkeypatch):
     ig = ig_of(star_graph(4))
     a = build_assignment(path_graph(4), (0, 1, 2, 3))
-    # a grid of one ultra-high-temperature point with no stall budget: no
-    # strict improvement is representable, so the run must stall
+    # a grid of one ultra-high-temperature point: no strict improvement is
+    # representable, so the run spends its stall budget and must stall
     monkeypatch.setattr("swapbound.uncomplexity.standard_beta_grid", lambda: (1e-300,))
     with pytest.raises(SweepError):
-        beta_sweep(ig, a, stall_budget=0)
+        beta_sweep(ig, a)
 
 
 def test_compute_bound_end_to_end():
@@ -692,13 +699,6 @@ def test_compute_bound_reports_compare_equal_despite_timings():
     assert first.sweep_ms > 0.0
     assert first == second
     assert first == replace(second, assign_ms=first.assign_ms + 1.0, sweep_ms=0.0)
-
-
-def test_compute_bound_rejects_negative_stall_budget():
-    ig = ig_of(star_graph(4))
-    for beta in (None, 1e-3):
-        with pytest.raises(ValidationError, match="stall_budget must be >= 0"):
-            compute_bound(ig, path_graph(4), beta=beta, stall_budget=-1)
 
 
 def test_compute_bound_single_beta():
