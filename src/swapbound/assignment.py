@@ -300,27 +300,20 @@ def _greedy_bijection(ig_graph: Graph, sub: Graph) -> tuple[int, ...]:
     return tuple(bij)
 
 
-DEFAULT_CLASS_BUDGET = 100_000
+CLASS_BUDGET = 100_000  # connected subsets the similarity search may enumerate
 
 
-def assign_qubits(
-    ig: InteractionGraph,
-    cg: Graph,
-    *,
-    class_budget: int = DEFAULT_CLASS_BUDGET,
-) -> AssignmentResult:
+def assign_qubits(ig: InteractionGraph, cg: Graph) -> AssignmentResult:
     """Full placement pipeline, returning the assignment and its GED.
 
     Monomorphism first (GED 0); otherwise exact similarity search over
     connected-subgraph classes (minimal GED; ties prefer subgraphs with
     more edges, then the smallest class representative, see
     :func:`enumerate_connected_subgraph_classes`). Complete
-    interaction graphs and enumerations exceeding ``class_budget`` subsets
+    interaction graphs and enumerations exceeding ``CLASS_BUDGET`` subsets
     use the greedy dense shortcut instead; its reported GED is exact for
     complete IGs and an upper bound otherwise.
     """
-    if class_budget < 1:
-        raise ValidationError("class_budget must be >= 1")
     k = ig.graph.n
     if k > cg.n:
         raise ValidationError(f"circuit needs {k} qubits but device has {cg.n}")
@@ -343,7 +336,7 @@ def assign_qubits(
     if not dense:
         for subset in connected_subsets(cg, k):
             subsets.append(subset)
-            if len(subsets) > class_budget:
+            if len(subsets) > CLASS_BUDGET:
                 dense = True
                 break
 

@@ -22,10 +22,10 @@ from .bench import (
     rows_to_csv,
     run_pair,
 )
-from .assignment import DEFAULT_CLASS_BUDGET, assign_qubits, max_swap_bound
+from .assignment import assign_qubits, max_swap_bound
 from .circuits import interaction_graph, parse_device
 from .errors import SizeGuardError, SwapBoundError, SweepError
-from .oracle import brute_force_min_swaps, brute_force_over_assignments
+from .oracle import brute_force_min_swaps, brute_force_over_assignments, check_guard
 from .spectral import entropy_curve
 from .uncomplexity import (
     AlgoTrace,
@@ -89,7 +89,7 @@ def _load_pair(args):
 
 def cmd_bound(args) -> int:
     circuit, device, ig = _load_pair(args)
-    report = compute_bound(ig, device.coupling, beta=args.beta, class_budget=args.class_budget)
+    report = compute_bound(ig, device.coupling, beta=args.beta)
     _write(
         report_to_json(report, circuit.name, device.name),
         args.format,
@@ -100,7 +100,7 @@ def cmd_bound(args) -> int:
 
 def cmd_assign(args) -> int:
     circuit, device, ig = _load_pair(args)
-    placed = assign_qubits(ig, device.coupling, class_budget=args.class_budget)
+    placed = assign_qubits(ig, device.coupling)
     a = placed.assignment
     doc = {
         "circuit": circuit.name,
@@ -118,6 +118,7 @@ def cmd_assign(args) -> int:
 
 def cmd_oracle(args) -> int:
     circuit, device, ig = _load_pair(args)
+    check_guard(ig.graph.n)  # before the placement, which alone can take seconds
     if args.all_assignments:
         count, assignment = brute_force_over_assignments(ig.graph, device.coupling)
         scope = "all-assignments"
@@ -193,13 +194,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="single inverse temperature (default: sweep the standard grid)",
     )
     p_bound.add_argument("--format", choices=["json", "csv"], default="json")
-    p_bound.add_argument("--class-budget", type=int, default=DEFAULT_CLASS_BUDGET)
     p_bound.set_defaults(func=cmd_bound)
 
     p_assign = sub.add_parser("assign", help="qubit assignment and edit distance")
     add_pair(p_assign)
     p_assign.add_argument("--format", choices=["json", "csv"], default="json")
-    p_assign.add_argument("--class-budget", type=int, default=DEFAULT_CLASS_BUDGET)
     p_assign.set_defaults(func=cmd_assign)
 
     p_oracle = sub.add_parser("oracle", help="exact brute-force optimum (size-guarded)")

@@ -40,13 +40,14 @@ from .assignment import (
     exchanges,
     pending_interactions,
 )
-from .errors import SizeGuardError
-from .graphs import Edge, Graph, bfs_distances
+from .errors import SizeGuardError, ValidationError
+from .graphs import Edge, Graph, bfs_distances, is_connected
 
 ORACLE_MAX_VERTICES = 8
 
 
-def _check_guard(k: int):
+def check_guard(k: int) -> None:
+    """Raise :class:`SizeGuardError` for more than ``ORACLE_MAX_VERTICES`` qubits."""
     if k > ORACLE_MAX_VERTICES:
         raise SizeGuardError(
             f"brute force is guarded at {ORACLE_MAX_VERTICES} vertices, got {k}"
@@ -150,7 +151,7 @@ def _min_swaps(
 
 def brute_force_min_swaps(ig: Graph, a: Assignment) -> int:
     """Optimal swap count for a fixed initial assignment."""
-    _check_guard(ig.n)
+    check_guard(ig.n)
     count, _ = _min_swaps([a.positions()], frozenset(ig.edges), a.cg_subgraph)
     return count
 
@@ -161,7 +162,9 @@ def brute_force_over_assignments(ig: Graph, cg: Graph) -> tuple[int, Assignment]
     Minimizes over all connected-subgraph class representatives and all
     initial bijections onto each; intended for validation at small sizes.
     """
-    _check_guard(ig.n)
+    check_guard(ig.n)
+    if not is_connected(cg):
+        raise ValidationError("coupling graph must be connected")
     remaining0 = frozenset(ig.edges)
     starts = list(itertools.permutations(range(ig.n)))
     best: tuple[int, Assignment] | None = None
@@ -175,6 +178,4 @@ def brute_force_over_assignments(ig: Graph, cg: Graph) -> tuple[int, Assignment]
             best = (count, assignment)
             if count == 0:
                 break
-    if best is None:
-        raise AssertionError("no candidate subgraphs enumerated")
     return best

@@ -34,10 +34,13 @@ evaluation would return and asks the routing model nothing, since a move
 kept in the memo erased nothing when it was made: it costs a dict lookup.
 
 A run is a generator (``_descent``) that yields its fresh states and is
-sent their divergences. ``beta_sweep`` advances its 99 runs in lockstep:
-one gather and one batched ``eigvalsh`` per round answer every run that
-asks. The runs are independent, and numpy's ``eigvalsh`` gufunc runs
-LAPACK on each matrix separately, so batching changes no value.
+sent their divergences. One driver (``_sweep``) advances the runs of a
+beta grid in lockstep: one gather and one batched ``eigvalsh`` per round
+answer every run that asks. Every run goes through it: ``beta_sweep``
+drives the 99-point grid, and ``swap_uncomplexity`` and a fixed-beta
+``compute_bound`` drive a grid of one point. The runs are independent,
+and numpy's ``eigvalsh`` gufunc runs LAPACK on each matrix separately, so
+batching changes no value.
 
 A revisit is a cycle. The move from a state depends on the state alone
 and the pending set only shrinks, so a run that comes back to a state
@@ -56,7 +59,6 @@ from typing import Union
 import numpy as np
 
 from .assignment import (
-    DEFAULT_CLASS_BUDGET,
     Assignment,
     assign_qubits,
     exchanges,
@@ -147,24 +149,24 @@ def _gibbs(graph: Graph, beta: float) -> tuple[np.ndarray, float]:
 
 
 def _divergences(
-    rho: tuple[np.ndarray, float], sigma: tuple[np.ndarray, float], placements
+    rho: tuple[np.ndarray, np.ndarray], sigma: tuple[np.ndarray, np.ndarray], placements
 ) -> np.ndarray:
-    """The divergence between ``rho`` and ``sigma`` relabelled by each placement.
+    """The divergence between each run's ``rho`` and its ``sigma`` relabelled by each placement.
 
-    ``rho`` and ``sigma`` may be stacks, each state with its own placements.
-    One gather builds every mixture ``(rho + sigma[p][:, p]) / 2`` at once, and
-    one batched ``eigvalsh`` takes all their spectra.
+    ``rho`` and ``sigma`` stack one state per run, and ``placements`` one
+    list per run; the result has one row per run. One gather builds every
+    mixture ``(rho + sigma[p][:, p]) / 2`` at once, and one batched
+    ``eigvalsh`` takes all their spectra.
     """
     (rho_m, s_rho), (sigma_m, s_sigma) = rho, sigma
     idx = np.asarray(placements)
-    # an index for each stack axis, so a state's placements gather from that state only
-    lead = tuple(i[..., None, None, None] for i in np.indices(idx.shape[:-2], sparse=True))
-    stacked = sigma_m[lead + (idx[..., :, None], idx[..., None, :])]
-    stacked += rho_m[..., None, :, :]
+    run = np.arange(len(idx))[:, None, None, None]  # a run's placements gather from its own state
+    stacked = sigma_m[run, idx[:, :, :, None], idx[:, :, None, :]]
+    stacked += rho_m[:, None]
     stacked /= 2.0
     q = np.maximum(np.linalg.eigvalsh(stacked), 0.0)
     terms = q * np.log(np.where(q > 0.0, q, 1.0))  # 0 * log(1) is 0.0
-    offset = (np.asarray(s_rho) + s_sigma)[..., None] / 2.0
+    offset = (s_rho + s_sigma)[:, None] / 2.0
     return np.maximum(-terms.sum(axis=-1) - offset, 0.0)
 
 
@@ -176,17 +178,8 @@ def swap_uncomplexity(ig: InteractionGraph, a: Assignment, beta: float) -> tuple
     divergence alone, as in the ultra-high-temperature limit, never ends
     the descent.
     """
-    return _run(ig, a, beta, max_swap_bound(ig, a))
-
-
-def _run(ig: InteractionGraph, a: Assignment, beta: float, budget: int) -> tuple[int, AlgoTrace]:
-    """One descent with ``budget`` forced swaps, driven to its end on its own."""
-    run, values = _descent(ig, a, beta, budget), None
-    try:
-        while True:
-            values = _divergences(*run.send(values))
-    except StopIteration as end:
-        return end.value
+    trace = _sweep(ig, a, (beta,), max_swap_bound(ig, a)).trace
+    return trace.swap_count, trace
 
 
 def _descent(ig: InteractionGraph, a: Assignment, beta: float, budget: int):
@@ -248,44 +241,39 @@ def beta_sweep(ig: InteractionGraph, a: Assignment) -> SweepResult:
     The runs advance in lockstep. Stalled runs are excluded from the
     minimum. If every run stalls, raises :class:`SweepError`.
     """
-    return _sweep(ig, a, max_swap_bound(ig, a))
+    sweep = _sweep(ig, a, standard_beta_grid(), max_swap_bound(ig, a))
+    if sweep.trace.stalled:
+        raise SweepError("every sweep run stalled")
+    return sweep
 
 
-def _sweep(ig: InteractionGraph, a: Assignment, budget: int) -> SweepResult:
-    """``beta_sweep`` with ``budget`` forced swaps per run."""
-    grid = standard_beta_grid()
+def _sweep(ig: InteractionGraph, a: Assignment, grid, budget: int) -> SweepResult:
+    """The runs of ``grid`` with ``budget`` forced swaps each, advanced in lockstep.
+
+    The result is the best run by ``(stalled, m, grid index)``: a run
+    that stalled wins only when every run stalled.
+    """
     runs = [_descent(ig, a, b, budget) for b in grid]
-    per_beta: list = [None] * len(grid)
-    best = (float("inf"), 0, None)  # (m, grid index, trace) of the winning run so far
+    traces: list = [None] * len(grid)
     replies = dict.fromkeys(range(len(grid)))  # run index -> divergences; None starts a run
     while replies:
         asks = {}
         for i, values in replies.items():
             try:
                 asks[i] = runs[i].send(values)
-            except StopIteration as end:  # keep (beta, m, stalled), and the trace if best
-                m, trace = end.value
-                per_beta[i] = (grid[i], m, trace.stalled)
-                if not trace.stalled:
-                    best = min(best, (m, i, trace))
+            except StopIteration as end:
+                traces[i] = end.value[1]
         if not asks:
             break
         rhos, sigmas, placements = zip(*asks.values())  # 1 + |E_sub| placements each
         stack = [tuple(map(np.array, zip(*states))) for states in (rhos, sigmas)]
         replies = dict(zip(asks, _divergences(*stack, placements)))
-    m, _, trace = best
-    if trace is None:
-        raise SweepError("every sweep run stalled")
-    return SweepResult(trace.beta, m, tuple(per_beta), trace)
+    best = min(traces, key=lambda t: (t.stalled, t.swap_count))  # min keeps the first
+    per_beta = tuple((b, t.swap_count, t.stalled) for b, t in zip(grid, traces))
+    return SweepResult(best.beta, best.swap_count, per_beta, best)
 
 
-def compute_bound(
-    ig: InteractionGraph,
-    cg: Graph,
-    *,
-    beta: float | None = None,
-    class_budget: int = DEFAULT_CLASS_BUDGET,
-) -> BoundReport:
+def compute_bound(ig: InteractionGraph, cg: Graph, *, beta: float | None = None) -> BoundReport:
     """The whole pipeline: assignment, max bound, then the divergence bound.
 
     The divergence bound is swept over the standard grid, or taken at one
@@ -293,23 +281,21 @@ def compute_bound(
     :class:`SweepError`.
     """
     t0 = time.perf_counter()
-    placed = assign_qubits(ig, cg, class_budget=class_budget)
+    placed = assign_qubits(ig, cg)
     assign_ms = (time.perf_counter() - t0) * 1000
     a = placed.assignment
     m_max = max_swap_bound(ig, a)
     t0 = time.perf_counter()
+    sweep = _sweep(ig, a, standard_beta_grid() if beta is None else (beta,), m_max)
+    trace, per_beta = sweep.trace, None
     if beta is None:
-        try:
-            sweep = _sweep(ig, a, m_max)
-        except SweepError as exc:
+        if trace.stalled:
+            exc = SweepError("every sweep run stalled")
             exc.ged, exc.method, exc.m_swap_max = placed.ged, placed.method, m_max
-            raise
-        trace, beta, per_beta = sweep.trace, sweep.beta_star, sweep.per_beta
-    else:
-        _, trace = _run(ig, a, beta, m_max)
-        per_beta = None
+            raise exc
+        beta, per_beta = sweep.beta_star, sweep.per_beta
     sweep_ms = (time.perf_counter() - t0) * 1000
-    m, stalled = trace.swap_count, trace.stalled
     return BoundReport(
-        m, beta, m_max, placed.ged, a, trace, stalled, placed.method, per_beta, assign_ms, sweep_ms
+        trace.swap_count, beta, m_max, placed.ged, a, trace, trace.stalled, placed.method,
+        per_beta, assign_ms, sweep_ms,
     )

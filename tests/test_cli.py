@@ -155,16 +155,22 @@ def test_bound_missing_file_exit_one(capsys):
     assert code == 1
 
 
-def test_oracle_guard_exit_three(tmp_path, capsys):
-    circuit = {"name": "big", "qubits": 9, "gates": [[i, i + 1] for i in range(8)]}
-    device = {"name": "bigdev", "num_qubits": 12, "edges": [[i, i + 1] for i in range(11)]}
-    cpath = tmp_path / "big.json"
-    dpath = tmp_path / "bigdev.json"
+def test_oracle_guard_exit_three(tmp_path, capsys, monkeypatch):
+    # a 9-qubit ring on a 4x4 grid sends the placement into the similarity
+    # search for seconds; the guard must refuse the circuit before that
+    placed = []
+    monkeypatch.setattr("swapbound.cli.assign_qubits", lambda *args: placed.append(args))
+    circuit = {"name": "ring9", "qubits": 9, "gates": [[i, (i + 1) % 9] for i in range(9)]}
+    grid = [[r * 4 + c, r * 4 + c + 1] for r in range(4) for c in range(3)]
+    grid += [[r * 4 + c, r * 4 + c + 4] for r in range(3) for c in range(4)]
+    device = {"name": "grid4x4", "num_qubits": 16, "edges": grid}
+    cpath, dpath = tmp_path / "ring9.json", tmp_path / "grid4x4.json"
     cpath.write_text(json.dumps(circuit))
     dpath.write_text(json.dumps(device))
-    code, _, err = run_cli(capsys, "oracle", "--circuit", str(cpath), "--device", str(dpath))
-    assert code == 3
-    assert "guarded" in err
+    for extra in ((), ("--all-assignments",)):
+        result = run_cli(capsys, "oracle", "--circuit", str(cpath), "--device", str(dpath), *extra)
+        assert result == (3, "", "error: brute force is guarded at 8 vertices, got 9\n")
+    assert placed == []
 
 
 @pytest.mark.parametrize(
@@ -596,9 +602,9 @@ def test_usage_errors_exit_input(capsys):
     # the stall budget is m_swap_max, not a flag
     assert main(["bound", *pair, "--stall-budget", "0"]) == 1
     assert main(["sweep", *pair, "--stall-budget", "0"]) == 1
-    capsys.readouterr()
-    assert main(["assign", *pair, "--class-budget", "0"]) == 1
-    assert capsys.readouterr().err == "error: class_budget must be >= 1\n"
+    # the class budget is a constant, not a flag
+    assert main(["bound", *pair, "--class-budget", "100000"]) == 1
+    assert main(["assign", *pair, "--class-budget", "100000"]) == 1
 
 
 def test_bench_row_matches_compute_bound():

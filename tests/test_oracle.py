@@ -6,7 +6,7 @@ import pytest
 
 from swapbound.assignment import Assignment, assign_qubits, pending_interactions
 from swapbound.circuits import Circuit, interaction_graph
-from swapbound.errors import SizeGuardError
+from swapbound.errors import SizeGuardError, ValidationError
 from swapbound.graphs import Edge, Graph, normalize_edge
 from swapbound.oracle import (
     _min_swaps,
@@ -82,6 +82,22 @@ def test_over_assignments_examples():
     assert count == 1
     assert best.cg_subgraph_nodes == (0, 1, 2, 3)
     assert brute_force_over_assignments(complete_graph(4), path_graph(4))[0] == 3
+
+
+@pytest.mark.parametrize(
+    "cg",
+    [
+        graph_from_edges(4, [(0, 1), (2, 3)]),  # every component smaller than k
+        graph_from_edges(5, [(0, 1), (1, 2), (3, 4)]),  # one component large enough
+    ],
+)
+def test_over_assignments_rejects_a_disconnected_coupling_graph(cg):
+    # the same rule, and the same error, as assign_qubits
+    ig = path_graph(3)
+    with pytest.raises(ValidationError, match="coupling graph must be connected"):
+        assign_qubits(interaction_graph(Circuit(3, ig.edge_list)), cg)
+    with pytest.raises(ValidationError, match="coupling graph must be connected"):
+        brute_force_over_assignments(ig, cg)
 
 
 def test_size_guard():

@@ -2,17 +2,20 @@ import hashlib
 import itertools
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import swapbound
 from swapbound.assignment import (
     assign_qubits,
     exchanges,
     max_swap_bound,
     pending_interactions,
 )
-from swapbound.circuits import Circuit, interaction_graph
+from swapbound.bench import load_manifest, read_circuit_file
+from swapbound.circuits import Circuit, interaction_graph, parse_device
 from swapbound.errors import SweepError
 from swapbound.graphs import Graph
 from swapbound.oracle import brute_force_min_swaps
@@ -26,7 +29,7 @@ from swapbound.uncomplexity import (
     _descent,
     _divergences,
     _gibbs,
-    _run,
+    _sweep,
     beta_sweep,
     compute_bound,
     standard_beta_grid,
@@ -61,6 +64,19 @@ from reference_spectral import (
 
 def ig_of(graph: Graph):
     return interaction_graph(Circuit(graph.n, tuple(graph.edge_list)))
+
+
+def one_run(ig, a, beta, budget):
+    """``(m, trace)`` of the lockstep driver on the one-point grid ``(beta,)``."""
+    trace = _sweep(ig, a, (beta,), budget).trace
+    return trace.swap_count, trace
+
+
+def divergences_of_one(rho, sigma, placements):
+    """``_divergences`` on a stack of one run: ``rho``, ``sigma`` and its placements."""
+    (rho_m, s_rho), (sigma_m, s_sigma) = rho, sigma
+    stack = (rho_m[None], np.array([s_rho])), (sigma_m[None], np.array([s_sigma]))
+    return _divergences(*stack, [placements])[0]
 
 
 def test_standard_grid_shape():
@@ -267,7 +283,7 @@ def test_trace_grammar_of_the_single_swap_path():
         m_max = max_swap_bound(ig, a)
         for beta in (1e-300, 1e-4, 1.0, 9e5):
             runs = [(m_max, swap_uncomplexity(ig, a, beta))]
-            runs += [(budget, _run(ig, a, beta, budget)) for budget in (0, 2)]
+            runs += [(budget, one_run(ig, a, beta, budget)) for budget in (0, 2)]
             for budget, (_, trace) in runs:
                 steps = trace.steps
                 run_forced = 0
@@ -521,7 +537,8 @@ def test_trimmed_gibbs_and_divergences_are_bit_identical_to_the_untrimmed_ones()
             assert same(matrix, old_matrix) and repr(entropy) == repr(old_entropy)
         placements = [pos] + exchanges(pos, sub)
         assert same(
-            _divergences(rho, sigma, placements), untrimmed_divergences(rho, sigma, placements)
+            divergences_of_one(rho, sigma, placements),
+            untrimmed_divergences(rho, sigma, placements),
         )
         w, _ = laplacian_spectrum(sub)
         assert same(gibbs_weights(w, beta), untrimmed_gibbs_weights(w, beta))
@@ -551,7 +568,7 @@ def test_a_run_that_revisits_a_state_ends_stalled():
         cg = random_connected_graph(rng, int(rng.integers(k, 9)), 0.35)
         a = assign_qubits(ig, cg).assignment
         for beta in (1e-300, 1e-2, 1.0, 100.0):
-            for _, trace in (swap_uncomplexity(ig, a, beta), _run(ig, a, beta, 3)):
+            for _, trace in (swap_uncomplexity(ig, a, beta), one_run(ig, a, beta, 3)):
                 states = _states_evaluated(ig, a, trace)
                 assert len(states) == trace.iterations - (trace.steps[-1:] == (CAP,))
                 if len(set(states)) < len(states):
@@ -561,7 +578,7 @@ def test_a_run_that_revisits_a_state_ends_stalled():
 
 
 def _ix_divergences(rho, sigma, placements):
-    """``_divergences`` with one ``np.ix_`` gather per placement."""
+    """The divergences of one run with one ``np.ix_`` gather per placement."""
     (rho_m, s_rho), (sigma_m, s_sigma) = rho, sigma
     k = len(rho_m)
     stacked = np.empty((len(placements), k, k))
@@ -584,7 +601,8 @@ def test_divergences_one_gather_equals_per_placement_gathers(k):
             rho, sigma = _gibbs(pending, beta), _gibbs(sub, beta)
             for placements in ([pos], [pos] + exchanges(pos, sub)):
                 assert np.array_equal(
-                    _divergences(rho, sigma, placements), _ix_divergences(rho, sigma, placements)
+                    divergences_of_one(rho, sigma, placements),
+                    _ix_divergences(rho, sigma, placements),
                 )
 
 
@@ -606,7 +624,7 @@ def test_stall_budget_zero_flags_stall():
     ig = ig_of(star_graph(4))
     a = build_assignment(path_graph(4), (0, 1, 2, 3))
     exhausted = StallStep("stall budget exhausted")
-    assert _run(ig, a, 1e-300, 0) == (0, AlgoTrace((exhausted,), 1e-300, 0, True))
+    assert one_run(ig, a, 1e-300, 0) == (0, AlgoTrace((exhausted,), 1e-300, 0, True))
     m, trace = swap_uncomplexity(ig, a, 1e-300)
     assert m == max_swap_bound(ig, a) == 6
     assert trace.stalled and trace.steps[-1] == exhausted
@@ -625,7 +643,7 @@ def test_iteration_cap_ends_a_run_that_keeps_improving(monkeypatch):
     pending = pending_interactions(ig.graph.edges, a.positions(), sub.edges)
     monkeypatch.setattr(
         "swapbound.uncomplexity._divergences",
-        lambda rho, sigma, placements: np.array([1.0] + [0.0] * (len(placements) - 1)),
+        lambda rho, sigma, runs: np.array([[1.0] + [0.0] * (len(p) - 1) for p in runs]),
     )
     m, trace = swap_uncomplexity(ig, a, 1.0)
     assert pending == {(0, 3)}
@@ -706,6 +724,22 @@ def test_compute_bound_single_beta():
     report = compute_bound(ig, path_graph(4), beta=1e-3)
     assert report.beta_star == 1e-3
     assert report.per_beta is None
+
+
+def test_fixed_beta_bound_matches_the_sweep_row_on_the_bundled_pairs():
+    # a fixed-beta run is the sweep's run at that grid point, stalled or not
+    fixtures = Path(swapbound.__file__).parent / "fixtures"
+    stalled = 0
+    for circuit_path, device_path in load_manifest(fixtures / "manifest.json"):
+        ig = interaction_graph(read_circuit_file(circuit_path))
+        cg = parse_device(device_path.read_bytes()).coupling
+        swept = compute_bound(ig, cg)
+        for b, m, row_stalled in swept.per_beta:
+            report = compute_bound(ig, cg, beta=b)
+            assert (report.u_swap, report.stalled) == (m, row_stalled)
+            assert report.beta_star == b and report.per_beta is None
+            stalled += row_stalled
+    assert stalled > 0
 
 
 @pytest.mark.parametrize("beta", [None, 0.5])
