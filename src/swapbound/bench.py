@@ -21,7 +21,7 @@ from .circuits import (
     parse_device,
 )
 from .errors import ParseError, SwapBoundError, SweepError, ValidationError
-from .oracle import ORACLE_MAX_VERTICES, brute_force_min_swaps
+from .oracle import brute_force_min_swaps, within_guard
 from .uncomplexity import compute_bound
 
 HIGH_TEMP_MAX = 1e-3  # upper edge of the high-temperature band reported on
@@ -117,7 +117,7 @@ def run_pair(circuit_path: Path, device_path: Path) -> BenchRow:
         row.assign_ms = report.assign_ms
         row.sweep_ms = report.sweep_ms
 
-        if ig.graph.n <= ORACLE_MAX_VERTICES:
+        if within_guard(ig.graph.n):
             t0 = time.perf_counter()
             row.oracle = brute_force_min_swaps(ig.graph, report.assignment)
             row.oracle_ms = (time.perf_counter() - t0) * 1000

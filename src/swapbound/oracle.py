@@ -46,9 +46,14 @@ from .graphs import Edge, Graph, bfs_distances, is_connected
 ORACLE_MAX_VERTICES = 8
 
 
+def within_guard(k: int) -> bool:
+    """Whether the oracle takes ``k`` qubits: at most ``ORACLE_MAX_VERTICES``."""
+    return k <= ORACLE_MAX_VERTICES
+
+
 def check_guard(k: int) -> None:
-    """Raise :class:`SizeGuardError` for more than ``ORACLE_MAX_VERTICES`` qubits."""
-    if k > ORACLE_MAX_VERTICES:
+    """Raise :class:`SizeGuardError` for qubit counts outside :func:`within_guard`."""
+    if not within_guard(k):
         raise SizeGuardError(
             f"brute force is guarded at {ORACLE_MAX_VERTICES} vertices, got {k}"
         )

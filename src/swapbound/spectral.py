@@ -57,11 +57,14 @@ def entropy_of_probs(p: Iterable[float]) -> float:
     return max(0.0, -float((nz * np.log(nz)).sum()))
 
 
-def gibbs_weights(eigenvalues: np.ndarray, beta: float) -> np.ndarray:
-    """``exp(-beta w) / Z`` over an ascending spectrum ``w``, shifted by ``w[0]``."""
-    shifted = np.exp(-beta * (eigenvalues - eigenvalues[0]))
-    total = shifted.sum()
-    if not 0.0 < total < math.inf:
+def gibbs_weights(eigenvalues: np.ndarray, beta) -> np.ndarray:
+    """``exp(-beta w) / Z`` over an ascending spectrum ``w``, shifted by ``w[0]``.
+
+    One beta gives one row of weights; an array of betas gives one row per beta.
+    """
+    shifted = np.exp(-np.multiply.outer(beta, eigenvalues - eigenvalues[0]))
+    total = shifted.sum(axis=-1, keepdims=True)
+    if not ((0.0 < total) & (total < math.inf)).all():
         raise NumericalError("partition function is non-finite or zero")
     return shifted / total
 
@@ -74,4 +77,4 @@ def entropy_curve(g: Graph, betas: Sequence[float]) -> list[tuple[float, float]]
     if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
         raise ValidationError("beta grid must be strictly ascending")
     w, _ = laplacian_spectrum(g)
-    return [(b, entropy_of_probs(gibbs_weights(w, b))) for b in betas]
+    return [(b, entropy_of_probs(p)) for b, p in zip(betas, gibbs_weights(w, betas))]

@@ -22,25 +22,22 @@ that exhaust it are flagged rather than aborted. The budget is
 many swaps, so a run that spends more forced swaps counts more than it
 needs and cannot give a useful estimate.
 
-A run evaluates each ``(pending set, placement)`` state once. The
-divergences depend only on the pending graph's Gibbs state, the
-subgraph's and the placement, and the first two are fixed until an
-erasure; so the move chosen from a placement is kept until an erasure
-changes the pending set. A fresh state stacks the mixtures for the
-placement and every exchange; the pending graph's Gibbs state is built
-once per pending set, its weights and entropy by the same ``spectral``
-arithmetic as ``entropy_curve``. A revisit reuses the trace step a fresh
-evaluation would return and asks the routing model nothing, since a move
-kept in the memo erased nothing when it was made: it costs a dict lookup.
+A run evaluates each ``(pending set, placement)`` state once: at its
+beta, the divergences depend only on the state and the subgraph, so the
+move chosen from a placement is kept until an erasure changes the pending
+set. A revisit costs a dict lookup and asks the routing model nothing,
+since a kept move erased nothing when it was made.
 
-A run is a generator (``_descent``) that yields its fresh states and is
-sent their divergences. One driver (``_sweep``) advances the runs of a
-beta grid in lockstep: one gather and one batched ``eigvalsh`` per round
-answer every run that asks. Every run goes through it: ``beta_sweep``
-drives the 99-point grid, and ``swap_uncomplexity`` and a fixed-beta
-``compute_bound`` drive a grid of one point. The runs are independent,
-and numpy's ``eigvalsh`` gufunc runs LAPACK on each matrix separately, so
-batching changes no value.
+A run is a generator (``_descent``) that only routes: it yields the
+pending set and the placements of each fresh state and is sent their
+divergences. One driver (``_sweep``) advances the runs of a grid in
+lockstep and owns the Gibbs states: the subgraph's, built once for the
+whole grid, and a pending graph's, built in a round where runs yield it
+anew, batched over their betas. One gather and one batched ``eigvalsh``
+per round answer every run that asks; numpy works on each matrix of a
+stack separately, so batching changes no value. ``beta_sweep`` drives the
+99-point grid, ``swap_uncomplexity`` and a fixed-beta ``compute_bound``
+a grid of one point.
 
 A revisit is a cycle. The move from a state depends on the state alone
 and the pending set only shrinks, so a run that comes back to a state
@@ -137,36 +134,30 @@ class BoundReport:
     sweep_ms: float = field(default=0.0, compare=False)
 
 
-def _gibbs(graph: Graph, beta: float) -> tuple[np.ndarray, float]:
-    """The graph's Gibbs state ``exp(-beta L) / Z`` as a matrix, and its entropy.
-
-    Deterministic in ``(graph, beta)``: a descent builds the pending graph's
-    state once per pending set and reuses it until an erasure changes the set.
-    """
+def _gibbs(graph: Graph, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The graph's Gibbs states ``exp(-beta L) / Z`` at each beta, stacked, and their entropies."""
     w, v = laplacian_spectrum(graph)
-    p = gibbs_weights(w, beta)
-    return (v * p) @ v.T, entropy_of_probs(p)
+    p = gibbs_weights(w, betas)
+    return (v * p[:, None]) @ v.T, np.array([entropy_of_probs(row) for row in p])
 
 
-def _divergences(
-    rho: tuple[np.ndarray, np.ndarray], sigma: tuple[np.ndarray, np.ndarray], placements
-) -> np.ndarray:
-    """The divergence between each run's ``rho`` and its ``sigma`` relabelled by each placement.
+def _divergences(rho, sigma, ids, placements) -> np.ndarray:
+    """Each asking run's divergences from its ``rho`` to its ``sigma`` relabelled per placement.
 
-    ``rho`` and ``sigma`` stack one state per run, and ``placements`` one
-    list per run; the result has one row per run. One gather builds every
-    mixture ``(rho + sigma[p][:, p]) / 2`` at once, and one batched
+    ``rho`` and ``sigma`` stack one state per grid point; run ``ids[r]``
+    gives ``placements[r]`` and gets row ``r`` of the result. One gather
+    builds every mixture ``(rho + sigma[p][:, p]) / 2``, and one batched
     ``eigvalsh`` takes all their spectra.
     """
     (rho_m, s_rho), (sigma_m, s_sigma) = rho, sigma
     idx = np.asarray(placements)
-    run = np.arange(len(idx))[:, None, None, None]  # a run's placements gather from its own state
-    stacked = sigma_m[run, idx[:, :, :, None], idx[:, :, None, :]]
-    stacked += rho_m[:, None]
+    run = np.asarray(ids)[:, None]  # a run's placements gather from its own states
+    stacked = sigma_m[run[..., None, None], idx[..., None], idx[:, :, None, :]]
+    stacked += rho_m[run]
     stacked /= 2.0
     q = np.maximum(np.linalg.eigvalsh(stacked), 0.0)
     terms = q * np.log(np.where(q > 0.0, q, 1.0))  # 0 * log(1) is 0.0
-    offset = (s_rho + s_sigma)[:, None] / 2.0
+    offset = (s_rho[ids] + s_sigma[ids])[:, None] / 2.0
     return np.maximum(-terms.sum(axis=-1) - offset, 0.0)
 
 
@@ -183,20 +174,17 @@ def swap_uncomplexity(ig: InteractionGraph, a: Assignment, beta: float) -> tuple
 
 
 def _descent(ig: InteractionGraph, a: Assignment, beta: float, budget: int):
-    """One run: yields ``(rho, sigma, placements)`` per fresh state, returns ``(m, trace)``."""
-    beta = check_beta(beta)
+    """One run: yields ``(pending set, placements)`` per fresh state, returns ``(m, trace)``."""
     graph = ig.graph
     if graph.n != a.cg_subgraph.n:
         raise ValidationError("assignment does not cover the interaction graph")
     sub = a.cg_subgraph
-    sigma = _gibbs(sub, beta)
     pos = a.positions()
     remaining = pending_interactions(graph.edges, pos, sub.edges)
     steps: list[TraceStep] = []
     m = 0
     max_iterations = budget + len(remaining) * max(len(sub.edge_list), 1)
     stalled = False
-    rho = None  # the pending graph's Gibbs state, rebuilt when an erasure changes it
     moves = {}  # placement -> (SwapStep, next placement) for this pending set
 
     while remaining:
@@ -206,13 +194,11 @@ def _descent(ig: InteractionGraph, a: Assignment, beta: float, budget: int):
             break
         fresh = pos not in moves
         if fresh:
-            if rho is None:
-                rho = _gibbs(Graph(graph.n, remaining), beta)
             swapped = exchanges(pos, sub)
-            values = yield rho, sigma, [pos] + swapped
-            best_i = int(values[1:].argmin())  # first minimum = smallest edge
-            qjsd1, best_val = float(values[0]), float(values[1 + best_i])
-            forced = not best_val < qjsd1 - EPS_IMP  # a NaN divergence forces too
+            values = yield remaining, [pos] + swapped
+            qjsd1, best_val = values[0], min(values[1:])
+            best_i = values.index(best_val, 1) - 1  # first minimum = smallest edge
+            forced = not best_val < qjsd1 - EPS_IMP  # a NaN qjsd1 forces too
             moves[pos] = SwapStep(sub.edge_list[best_i], qjsd1, best_val, forced), swapped[best_i]
         step, next_pos = moves[pos]
         if step.forced:
@@ -229,7 +215,7 @@ def _descent(ig: InteractionGraph, a: Assignment, beta: float, budget: int):
             still = pending_interactions(remaining, pos, sub.edges)
             if still != remaining:
                 steps.append(EraseStep(tuple(sorted(remaining - still))))
-                remaining, rho = still, None
+                remaining = still
                 moves.clear()
 
     return m, AlgoTrace(tuple(steps), beta, m, stalled)
@@ -253,7 +239,11 @@ def _sweep(ig: InteractionGraph, a: Assignment, grid, budget: int) -> SweepResul
     The result is the best run by ``(stalled, m, grid index)``: a run
     that stalled wins only when every run stalled.
     """
-    runs = [_descent(ig, a, b, budget) for b in grid]
+    betas = np.array([check_beta(b) for b in grid])
+    sigma = _gibbs(a.cg_subgraph, betas)
+    rho = tuple(map(np.empty_like, sigma))  # row i: the Gibbs state of run i's pending graph
+    built = [None] * len(grid)  # the pending set each row of rho holds
+    runs = [_descent(ig, a, b, budget) for b in betas.tolist()]
     traces: list = [None] * len(grid)
     replies = dict.fromkeys(range(len(grid)))  # run index -> divergences; None starts a run
     while replies:
@@ -265,9 +255,15 @@ def _sweep(ig: InteractionGraph, a: Assignment, grid, budget: int) -> SweepResul
                 traces[i] = end.value[1]
         if not asks:
             break
-        rhos, sigmas, placements = zip(*asks.values())  # 1 + |E_sub| placements each
-        stack = [tuple(map(np.array, zip(*states))) for states in (rhos, sigmas)]
-        replies = dict(zip(asks, _divergences(*stack, placements)))
+        stale = {}  # pending set -> the runs whose row of rho it replaces
+        for i, (pending, _) in asks.items():
+            if pending is not built[i]:
+                built[i] = pending
+                stale.setdefault(pending, []).append(i)
+        for pending, ids in stale.items():
+            rho[0][ids], rho[1][ids] = _gibbs(Graph(ig.graph.n, pending), betas[ids])
+        placements = [p for _, p in asks.values()]  # 1 + |E_sub| each
+        replies = dict(zip(asks, _divergences(rho, sigma, list(asks), placements).tolist()))
     best = min(traces, key=lambda t: (t.stalled, t.swap_count))  # min keeps the first
     per_beta = tuple((b, t.swap_count, t.stalled) for b, t in zip(grid, traces))
     return SweepResult(best.beta, best.swap_count, per_beta, best)

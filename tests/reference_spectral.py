@@ -3,7 +3,9 @@
 The pipeline evaluates the divergence only in ``uncomplexity._divergences``;
 this module recomputes it from full matrices, with every eigendecomposition
 taken fresh (never from the ``laplacian_spectrum`` cache), so tests can
-check the engine against an independent route. All logarithms are natural.
+check the engine against an independent route. ``reference_descent`` runs
+one descent on that route, with no memo and no batching. All logarithms
+are natural.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from swapbound.assignment import Assignment, pending_interactions
+from swapbound.assignment import Assignment, exchanges, pending_interactions
 from swapbound.errors import NumericalError, ValidationError
-from swapbound.graphs import Graph
+from swapbound.graphs import Edge, Graph
 from swapbound.spectral import (
     check_beta,
     entropy_of_probs,
@@ -23,6 +25,7 @@ from swapbound.spectral import (
     laplacian,
     laplacian_spectrum,
 )
+from swapbound.uncomplexity import EPS_IMP
 
 from conftest import relabel
 
@@ -165,13 +168,17 @@ def remove_trivial_edges(ig: Graph, a: Assignment) -> Graph:
     return Graph(ig.n, pending_interactions(ig.edges, a.positions(), a.cg_subgraph.edges))
 
 
-def cg_in_ig_frame(a: Assignment) -> Graph:
-    """The chosen subgraph relabeled so indices refer to IG vertices."""
-    pos = a.positions()
+def placed_subgraph(sub: Graph, pos) -> Graph:
+    """``sub`` relabeled so indices refer to IG vertices: vertex ``v`` sits on ``pos[v]``."""
     inverse = [0] * len(pos)
     for v, p in enumerate(pos):
         inverse[p] = v
-    return relabel(a.cg_subgraph, inverse)
+    return relabel(sub, inverse)
+
+
+def cg_in_ig_frame(a: Assignment) -> Graph:
+    """The chosen subgraph relabeled so indices refer to IG vertices."""
+    return placed_subgraph(a.cg_subgraph, a.positions())
 
 
 def aligned_qjsd(ig_remaining: Graph, a: Assignment, beta: float) -> float:
@@ -181,6 +188,55 @@ def aligned_qjsd(ig_remaining: Graph, a: Assignment, beta: float) -> float:
     rho = graph_gibbs(ig_remaining, beta)
     sigma = graph_gibbs(cg_in_ig_frame(a), beta)
     return qjsd(rho, sigma)
+
+
+# --- one descent run, plainly --------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Decision:
+    """What one evaluated state chose, and how far its floats were from choosing otherwise."""
+
+    edge: Edge
+    forced: bool
+    qjsd_before: float
+    qjsd_after: float
+    margin: float  # distance to the runner-up exchange or to the forcing threshold
+
+
+def reference_descent(ig: Graph, sub: Graph, pos, beta: float, budget: int):
+    """One descent run with no memo and no batching; returns ``(m, stall, decisions)``.
+
+    Every iteration evaluates its state afresh: ``qjsd`` between the pending
+    graph's Gibbs state and the placed subgraph's, each from a fresh
+    ``eigh``, for the placement and every exchange. The routing model, the
+    stall budget and the iteration cap are those of ``uncomplexity``.
+    ``stall`` is the reason the run stalled, or ``None``; ``decisions`` has
+    one entry per evaluated state, the last one unmade if the budget ran out.
+    """
+    remaining = pending_interactions(ig.edges, pos, sub.edges)
+    max_iterations = budget + len(remaining) * max(len(sub.edge_list), 1)
+    m, decisions = 0, []
+    while remaining:
+        if m >= max_iterations:
+            return m, "iteration cap reached", decisions
+        rho = graph_gibbs(Graph(ig.n, remaining), beta)
+        swapped = exchanges(pos, sub)
+        values = [qjsd(rho, graph_gibbs(placed_subgraph(sub, p), beta)) for p in [pos] + swapped]
+        qjsd1, candidates = values[0], values[1:]
+        best = min(range(len(candidates)), key=candidates.__getitem__)
+        runner_up = sorted(candidates)[1:2] or [math.inf]
+        margin = min(runner_up[0] - candidates[best], abs(candidates[best] - (qjsd1 - EPS_IMP)))
+        forced = not candidates[best] < qjsd1 - EPS_IMP
+        decisions.append(Decision(sub.edge_list[best], forced, qjsd1, candidates[best], margin))
+        if forced:
+            if budget <= 0:
+                return m, "stall budget exhausted", decisions
+            budget -= 1
+        pos = swapped[best]
+        m += 1
+        remaining = pending_interactions(remaining, pos, sub.edges)
+    return m, None, decisions
 
 
 # --- the descent's Gibbs build and divergence batch, as first written ---------

@@ -419,6 +419,14 @@ def test_bench_summary_counts_stalled_rows_apart_from_failed_ones(
     assert (summary["failed_rows"], summary["stalled_rows"]) == (2, 1)
 
 
+def test_bench_row_follows_the_oracle_size_rule(monkeypatch):
+    # bench asks the oracle module whether a size is in range, so a lower
+    # guard leaves the oracle blank instead of failing the row on the guard
+    monkeypatch.setattr("swapbound.oracle.ORACLE_MAX_VERTICES", 3)
+    row = run_pair(FIXTURES / "star4.json", FIXTURES / "line5.json")
+    assert (row.oracle, row.error, row.u_swap is not None) == (None, "", True)
+
+
 def test_bench_records_non_utf8_row_and_keeps_the_others(tmp_path, capsys):
     (tmp_path / "latin1.json").write_bytes(LATIN1_CIRCUIT)
     for name in ("chain3.json", "line5.json"):

@@ -54,6 +54,7 @@ from reference_spectral import (
     cg_in_ig_frame,
     graph_gibbs,
     qjsd,
+    reference_descent,
     remove_trivial_edges,
     untrimmed_divergences,
     untrimmed_entropy_of_probs,
@@ -72,11 +73,23 @@ def one_run(ig, a, beta, budget):
     return trace.swap_count, trace
 
 
-def divergences_of_one(rho, sigma, placements):
-    """``_divergences`` on a stack of one run: ``rho``, ``sigma`` and its placements."""
-    (rho_m, s_rho), (sigma_m, s_sigma) = rho, sigma
-    stack = (rho_m[None], np.array([s_rho])), (sigma_m[None], np.array([s_sigma]))
-    return _divergences(*stack, [placements])[0]
+def draw_connected(draw, st, n, max_extra=None):
+    """A connected graph on ``n`` vertices: a random tree, extra edges, relabelled."""
+    pairs = list(itertools.combinations(range(n), 2))
+    tree = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    extra = draw(st.sets(st.sampled_from(pairs), max_size=max_extra))
+    return relabel(graph_from_edges(n, tree + sorted(extra)), draw(st.permutations(range(n))))
+
+
+def state(stack, i):
+    """Row ``i`` of a ``_gibbs`` stack: one ``(matrix, entropy)`` state."""
+    matrices, entropies = stack
+    return matrices[i], entropies[i]
+
+
+def divergences_of_one(rho, sigma, i, placements):
+    """``_divergences`` of run ``i`` alone: states from row ``i`` of the stacks."""
+    return _divergences(rho, sigma, [i], [placements])[0]
 
 
 def test_standard_grid_shape():
@@ -338,23 +351,33 @@ def test_sweep_calls_go_through_the_traced_module_names(monkeypatch):
         iterations = sum(t.iterations for t in traces)
         assert len(traces) == 99
         assert iterations > 99
-        evaluated = [set(_states_evaluated(ig, a, t)) for t in traces]
-        # the subgraph's spectrum once per run, the pending graph's once per
-        # pending set: on the first iteration and on each one after an erasure,
-        # never again after a swap that erased nothing
-        pending_sets = sum(len({pending for pending, _ in run}) for run in evaluated)
-        assert calls["spectra"] == 99 + pending_sets
-        assert calls["spectra"] < 99 + iterations
+        # a run asks for each state it evaluates, in the order it first meets
+        # them, the r-th in round r
+        asked = [list(dict.fromkeys(_states_evaluated(ig, a, t))) for t in traces]
+        # the subgraph's spectrum once per sweep; in each round, a pending
+        # graph's once for all the runs that ask with a new pending set: on
+        # their first state and on each one after an erasure, never again
+        # after a swap that erased nothing
+        rebuilt = 0
+        for r in range(max(map(len, asked))):
+            pending = [run[r][0] for run in asked if r < len(run)]
+            before = [run[r - 1][0] if r else None for run in asked if r < len(run)]
+            rebuilt += len({p for p, b in zip(pending, before) if p != b})
+        assert calls["spectra"] == 1 + rebuilt
+        # one spectrum per run and per pending set of each run, as when each
+        # run built its own states
+        pending_sets = sum(len({pending for pending, _ in run}) for run in asked)
+        assert calls["spectra"] < 99 + pending_sets
         # one matrix per candidate placement of each distinct (pending set,
         # placement) state a run evaluates, the state's own and one per
         # subgraph edge; a revisited state reuses the move chosen on its first
         # visit
-        states = sum(len(run) for run in evaluated)
+        states = sum(len(run) for run in asked)
         assert calls["matrices"] == states * (1 + len(a.cg_subgraph.edge_list))
         assert (states < iterations) == revisits
         # one batch per lockstep round, and every live run asks once a round,
         # so there are as many rounds as the longest run evaluates states
-        assert calls["eigvalsh"] == max(len(run) for run in evaluated) < states
+        assert calls["eigvalsh"] == max(len(run) for run in asked) < states
 
 
 def _sweep_traces(monkeypatch):
@@ -390,16 +413,10 @@ def test_lockstep_sweep_is_bit_identical_to_the_plain_loop(monkeypatch):
     seen = dict.fromkeys(cases_seen, 0)
 
     @st.composite
-    def connected(draw, n):
-        pairs = list(itertools.combinations(range(n), 2))
-        tree = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
-        extra = draw(st.sets(st.sampled_from(pairs)))
-        return relabel(graph_from_edges(n, tree + sorted(extra)), draw(st.permutations(range(n))))
-
-    @st.composite
     def cases(draw):
         k = draw(st.integers(2, 8))
-        ig, cg = draw(connected(k)), draw(connected(draw(st.integers(k, k + 2))))
+        ig = draw_connected(draw, st, k)
+        cg = draw_connected(draw, st, draw(st.integers(k, k + 2)))
         points = st.sampled_from(standard_beta_grid() + (1e-300,)).map(lambda b: (b,))
         return ig, cg, draw(st.one_of(st.none(), points))
 
@@ -513,14 +530,13 @@ def test_trimmed_gibbs_and_divergences_are_bit_identical_to_the_untrimmed_ones()
     @st.composite
     def cases(draw):
         k = draw(st.integers(2, 9))
+        sub = draw_connected(draw, st, k)
         pairs = list(itertools.combinations(range(k), 2))
-        tree = [(draw(st.integers(0, i - 1)), i) for i in range(1, k)]
-        extra = draw(st.sets(st.sampled_from(pairs)))
-        sub = relabel(graph_from_edges(k, tree + sorted(extra)), draw(st.permutations(range(k))))
         pending = graph_from_edges(k, draw(st.sets(st.sampled_from(pairs), min_size=1)))
-        beta = draw(st.sampled_from((0.0,) + standard_beta_grid()))
+        grid = st.sampled_from((0.0,) + standard_beta_grid())
+        betas = draw(st.lists(grid, min_size=1, max_size=4))
         pos = tuple(draw(st.permutations(range(k))))
-        return sub, pending, beta, pos
+        return sub, pending, betas, pos
 
     def same(x, y):
         x, y = np.asarray(x), np.asarray(y)
@@ -528,22 +544,29 @@ def test_trimmed_gibbs_and_divergences_are_bit_identical_to_the_untrimmed_ones()
 
     @hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @hypothesis.given(cases())
-    @hypothesis.example((path_graph(9), complete_graph(9), 1e5, tuple(range(9))))
+    @hypothesis.example((path_graph(9), complete_graph(9), [1e5, 0.0, 1e-5], tuple(range(9))))
     def check(case):
-        sub, pending, beta, pos = case
-        rho, sigma = _gibbs(pending, beta), _gibbs(sub, beta)
-        for (matrix, entropy), graph in ((rho, pending), (sigma, sub)):
-            old_matrix, old_entropy = untrimmed_gibbs(graph, beta)
-            assert same(matrix, old_matrix) and repr(entropy) == repr(old_entropy)
+        # every row of the batched states, weights and divergences against the
+        # untrimmed code at that row's beta
+        sub, pending, betas, pos = case
+        rho, sigma = _gibbs(pending, np.array(betas)), _gibbs(sub, np.array(betas))
         placements = [pos] + exchanges(pos, sub)
-        assert same(
-            divergences_of_one(rho, sigma, placements),
-            untrimmed_divergences(rho, sigma, placements),
-        )
+        ids = list(range(len(betas)))[::-1]
+        batch = _divergences(rho, sigma, ids, [placements] * len(ids))
         w, _ = laplacian_spectrum(sub)
-        assert same(gibbs_weights(w, beta), untrimmed_gibbs_weights(w, beta))
+        weights = gibbs_weights(w, np.array(betas))
+        for i, beta in enumerate(betas):
+            for stack, graph in ((rho, pending), (sigma, sub)):
+                matrix, entropy = state(stack, i)
+                old_matrix, old_entropy = untrimmed_gibbs(graph, beta)
+                assert same(matrix, old_matrix) and repr(float(entropy)) == repr(old_entropy)
+            expected = untrimmed_divergences(state(rho, i), state(sigma, i), placements)
+            assert same(divergences_of_one(rho, sigma, i, placements), expected)
+            assert same(batch[ids.index(i)], expected)
+            assert same(weights[i], untrimmed_gibbs_weights(w, beta))
+            assert same(gibbs_weights(w, beta), weights[i])
         seen["k >= 8"] += sub.n >= 8
-        seen["underflow"] += bool((gibbs_weights(w, beta) == 0.0).any())
+        seen["underflow"] += bool((weights == 0.0).any())
 
     check()
     assert all(seen.values())
@@ -554,6 +577,71 @@ def test_trimmed_gibbs_and_divergences_are_bit_identical_to_the_untrimmed_ones()
             for b in standard_beta_grid()
         ]
         assert repr(entropy_curve(g, standard_beta_grid())) == repr(expected)
+
+
+TIE_TOL = 1e-13  # the two routes differ by under 4e-15 here; EPS_IMP is 1e-12
+
+
+def test_descent_agrees_with_the_plain_reference_run():
+    # The engine's run (memo, lockstep driver, batched states and eigvalsh)
+    # against a plain run whose divergences come from full density matrices.
+    # A decision whose margin is within TIE_TOL may go either way, so moves
+    # are compared up to the first such decision, and m and the stall only
+    # for runs without one; those runs are counted as skipped.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    seen = dict.fromkeys(["compared", "near tie", "swapped", "forced", "stalled"], 0)
+
+    @st.composite
+    def cases(draw):
+        k = draw(st.integers(2, 6))
+        ig = draw_connected(draw, st, k)
+        cg = draw_connected(draw, st, draw(st.integers(k, k + 2)), max_extra=2)  # sparse: swaps
+        return ig, cg, draw(st.sampled_from((0.01, 0.05, 0.3, 1.0, 3.0, 10.0)))
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(cases())
+    @hypothesis.example((cycle_graph(5), path_graph(5), 1.0))
+    # every swap forced, until the stall budget runs out: forced swaps
+    # rarely come without an exact tie
+    @hypothesis.example(
+        (
+            graph_from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 3), (2, 4)]),
+            graph_from_edges(7, [(0, 1), (0, 2), (0, 3), (0, 6), (1, 5), (1, 6), (2, 3), (2, 5),
+                                 (2, 6), (3, 5), (4, 6), (5, 6)]),
+            4.0,
+        )
+    )
+    def check(case):
+        graph, cg, beta = case
+        ig = ig_of(graph)
+        a = assign_qubits(ig, cg).assignment
+        m, trace = swap_uncomplexity(ig, a, beta)
+        budget = max_swap_bound(ig, a)
+        ref_m, stall, decisions = reference_descent(
+            ig.graph, a.cg_subgraph, a.positions(), beta, budget
+        )
+        swaps = [step for step in trace.steps if isinstance(step, SwapStep)]
+        for i, decision in enumerate(decisions):
+            if decision.margin <= TIE_TOL:
+                seen["near tie"] += 1
+                return
+            if i < len(swaps):
+                step = swaps[i]
+                assert (step.edge, step.forced) == (decision.edge, decision.forced)
+                assert step.qjsd_before == pytest.approx(decision.qjsd_before, abs=TIE_TOL)
+                assert step.qjsd_after == pytest.approx(decision.qjsd_after, abs=TIE_TOL)
+        assert (m, trace.stalled) == (ref_m, stall is not None)
+        if stall is not None:
+            assert trace.steps[-1] == StallStep(stall)
+        seen["compared"] += 1
+        seen["swapped"] += m > 0
+        seen["forced"] += any(step.forced for step in swaps)
+        seen["stalled"] += trace.stalled
+
+    check()
+    assert all(seen.values()), seen
+    assert seen["near tie"] < seen["compared"], seen
 
 
 def test_a_run_that_revisits_a_state_ends_stalled():
@@ -596,14 +684,16 @@ def test_divergences_one_gather_equals_per_placement_gathers(k):
     for _ in range(4):
         pending = random_interaction_graph(rng, k).graph
         sub = random_connected_graph(rng, k, 0.3)
-        pos = tuple(int(i) for i in rng.permutation(k))
-        for beta in (1e-5, 1.0, 9e5):
-            rho, sigma = _gibbs(pending, beta), _gibbs(sub, beta)
-            for placements in ([pos], [pos] + exchanges(pos, sub)):
-                assert np.array_equal(
-                    divergences_of_one(rho, sigma, placements),
-                    _ix_divergences(rho, sigma, placements),
-                )
+        betas = np.array([1e-5, 1.0, 9e5])
+        rho, sigma = _gibbs(pending, betas), _gibbs(sub, betas)
+        ids = [2, 0, 1]  # each run gathers from its own row, with its own placements
+        positions = [tuple(int(i) for i in rng.permutation(k)) for _ in ids]
+        for asks in ([[p] for p in positions], [[p] + exchanges(p, sub) for p in positions]):
+            rows = _divergences(rho, sigma, ids, asks)
+            for i, placements, row in zip(ids, asks, rows):
+                expected = _ix_divergences(state(rho, i), state(sigma, i), placements)
+                assert np.array_equal(row, expected)
+                assert np.array_equal(divergences_of_one(rho, sigma, i, placements), expected)
 
 
 def test_deterministic_traces():
@@ -643,7 +733,7 @@ def test_iteration_cap_ends_a_run_that_keeps_improving(monkeypatch):
     pending = pending_interactions(ig.graph.edges, a.positions(), sub.edges)
     monkeypatch.setattr(
         "swapbound.uncomplexity._divergences",
-        lambda rho, sigma, runs: np.array([[1.0] + [0.0] * (len(p) - 1) for p in runs]),
+        lambda rho, sigma, ids, runs: np.array([[1.0] + [0.0] * (len(p) - 1) for p in runs]),
     )
     m, trace = swap_uncomplexity(ig, a, 1.0)
     assert pending == {(0, 3)}
