@@ -58,25 +58,29 @@ class Assignment:
         return self._positions
 
 
-def pending_interactions(
-    edges, pos: Sequence[int], sub_edges: frozenset[Edge]
-) -> frozenset[Edge]:
+def pending_interactions(edges, pos: Sequence[int], sub_edges: frozenset[Edge]) -> frozenset[Edge]:
     """The routing model: interactions whose endpoints are not yet adjacent.
 
     An interaction executes for free once its endpoints sit on a subgraph
     edge; ``pos`` maps IG vertices to subgraph labels.
     """
-    return frozenset(
-        e for e in edges if normalize_edge(pos[e[0]], pos[e[1]]) not in sub_edges
-    )
+    pending = []
+    for e in edges:
+        x, y = pos[e[0]], pos[e[1]]
+        if ((x, y) if x < y else (y, x)) not in sub_edges:
+            pending.append(e)
+    return frozenset(pending)
 
 
 def exchanges(pos: Sequence[int], sub: Graph) -> list[tuple[int, ...]]:
     """The placement after a swap across each subgraph edge, in ``edge_list`` order."""
+    at = [0] * len(pos)  # subgraph label -> IG vertex; ``pos`` permutes the labels
+    for u, x in enumerate(pos):
+        at[x] = u
     out = []
     for x, y in sub.edge_list:
         new_pos = list(pos)
-        new_pos[pos.index(x)], new_pos[pos.index(y)] = y, x
+        new_pos[at[x]], new_pos[at[y]] = y, x
         out.append(tuple(new_pos))
     return out
 
@@ -118,9 +122,7 @@ def connected_subsets(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
         for w in sorted(ext):
             work.discard(w)
             fresh = {u for u in g.adjacency[w] if u > start and u not in closed}
-            yield from extend(
-                sub + [w], work | fresh, closed | {w} | set(g.adjacency[w]), start
-            )
+            yield from extend(sub + [w], work | fresh, closed | {w} | set(g.adjacency[w]), start)
 
     for start in range(g.n):
         ext0 = {w for w in g.adjacency[start] if w > start}
@@ -201,9 +203,7 @@ def graph_edit_distance(g: Graph, h: Graph) -> GedResult:
     best_bij = identity
 
     # g edges with at least one endpoint still unassigned after prefix v
-    g_suffix_edges = [
-        sum(1 for (a, b) in g.edges if a >= v or b >= v) for v in range(n + 1)
-    ]
+    g_suffix_edges = [sum(1 for (a, b) in g.edges if a >= v or b >= v) for v in range(n + 1)]
 
     mapping = [-1] * n
     inverse = [-1] * n  # host vertex -> assigned g vertex

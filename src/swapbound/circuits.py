@@ -30,9 +30,7 @@ class Circuit:
             if i == j:
                 raise ValidationError(f"gate on identical qubits ({i},{j})")
             if not (0 <= i < self.num_qubits and 0 <= j < self.num_qubits):
-                raise ValidationError(
-                    f"gate ({i},{j}) out of range for {self.num_qubits} qubits"
-                )
+                raise ValidationError(f"gate ({i},{j}) out of range for {self.num_qubits} qubits")
 
 
 @dataclass(frozen=True)

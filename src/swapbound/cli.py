@@ -133,8 +133,7 @@ def cmd_oracle(args) -> int:
         "ig_to_cg": list(assignment.ig_to_cg),
         "scope": scope,
     }
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _write(doc, "json", [])
     return EXIT_OK
 
 
@@ -189,9 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound = sub.add_parser("bound", help="assignment, swept lower bound and max bound")
     add_pair(p_bound)
     p_bound.add_argument(
-        "--beta",
-        type=float,
-        help="single inverse temperature (default: sweep the standard grid)",
+        "--beta", type=float, help="single inverse temperature (default: sweep the standard grid)"
     )
     p_bound.add_argument("--format", choices=["json", "csv"], default="json")
     p_bound.set_defaults(func=cmd_bound)

@@ -54,9 +54,7 @@ def within_guard(k: int) -> bool:
 def check_guard(k: int) -> None:
     """Raise :class:`SizeGuardError` for qubit counts outside :func:`within_guard`."""
     if not within_guard(k):
-        raise SizeGuardError(
-            f"brute force is guarded at {ORACLE_MAX_VERTICES} vertices, got {k}"
-        )
+        raise SizeGuardError(f"brute force is guarded at {ORACLE_MAX_VERTICES} vertices, got {k}")
 
 
 class _SwapFloor:
@@ -177,9 +175,7 @@ def brute_force_over_assignments(ig: Graph, cg: Graph) -> tuple[int, Assignment]
         count, start = _min_swaps(starts, remaining0, cls.graph)
         if best is None or count < best[0]:
             nodes = cls.representative_nodes
-            assignment = Assignment(
-                tuple(nodes[s] for s in start), nodes, cls.graph
-            )
+            assignment = Assignment(tuple(nodes[s] for s in start), nodes, cls.graph)
             best = (count, assignment)
             if count == 0:
                 break

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -50,19 +50,28 @@ def laplacian_spectrum(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def entropy_of_probs(p: Iterable[float]) -> float:
-    """Shannon entropy in nats; entries <= 0 (underflowed or rounding) add nothing."""
-    p = np.asarray(p, dtype=float)
-    nz = p[p > 0.0]
-    return max(0.0, -float((nz * np.log(nz)).sum()))
+def entropy_of_probs(p) -> np.ndarray:
+    """Shannon entropy in nats of each row (last axis); entries <= 0 add nothing.
+
+    Bit-exact to a sum over the positive entries alone: numpy sums 8 or more entries pairwise,
+    where an added zero can change the rounding, so such a row with an entry <= 0 skips those.
+    """
+    rows = np.atleast_2d(np.asarray(p, dtype=float))
+    terms = rows * np.log(np.where(rows > 0.0, rows, 1.0))  # 0 * log(1) is 0.0
+    sums = terms.sum(axis=1)
+    if rows.shape[1] >= 8:
+        for r in np.flatnonzero((rows <= 0.0).any(axis=1)):
+            sums[r] = terms[r][rows[r] > 0.0].sum()
+    return np.maximum(0.0 - sums, 0.0).reshape(np.shape(p)[:-1])[()]  # 0.0 - s: never -0.0
 
 
 def gibbs_weights(eigenvalues: np.ndarray, beta) -> np.ndarray:
-    """``exp(-beta w) / Z`` over an ascending spectrum ``w``, shifted by ``w[0]``.
+    """``exp(-beta w) / Z`` over an ascending spectrum ``w``, shifted by ``w[..., 0]``.
 
-    One beta gives one row of weights; an array of betas gives one row per beta.
+    One beta gives one row of weights and an array of betas one row per
+    beta; a stack of spectra, one per row, pairs row ``i`` with ``beta[i]``.
     """
-    shifted = np.exp(-np.multiply.outer(beta, eigenvalues - eigenvalues[0]))
+    shifted = np.exp(-(np.asarray(beta)[..., None] * (eigenvalues - eigenvalues[..., :1])))
     total = shifted.sum(axis=-1, keepdims=True)
     if not ((0.0 < total) & (total < math.inf)).all():
         raise NumericalError("partition function is non-finite or zero")
@@ -77,4 +86,4 @@ def entropy_curve(g: Graph, betas: Sequence[float]) -> list[tuple[float, float]]
     if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
         raise ValidationError("beta grid must be strictly ascending")
     w, _ = laplacian_spectrum(g)
-    return [(b, entropy_of_probs(p)) for b, p in zip(betas, gibbs_weights(w, betas))]
+    return list(zip(betas, entropy_of_probs(gibbs_weights(w, betas)).tolist()))

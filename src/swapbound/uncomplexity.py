@@ -32,12 +32,13 @@ A run is a generator (``_descent``) that only routes: it yields the
 pending set and the placements of each fresh state and is sent their
 divergences. One driver (``_sweep``) advances the runs of a grid in
 lockstep and owns the Gibbs states: the subgraph's, built once for the
-whole grid, and a pending graph's, built in a round where runs yield it
-anew, batched over their betas. One gather and one batched ``eigvalsh``
-per round answer every run that asks; numpy works on each matrix of a
-stack separately, so batching changes no value. ``beta_sweep`` drives the
-99-point grid, ``swap_uncomplexity`` and a fixed-beta ``compute_bound``
-a grid of one point.
+whole grid, and each run's pending graph's. Once per round, across
+pending sets, it rebuilds the row of every run that yields a new set: a
+spectrum per distinct set, then one ``_gibbs`` for all those rows. One
+gather and one batched ``eigvalsh`` per round answer every run that asks.
+numpy works on each row and matrix of a stack separately, so batching
+changes no value. ``beta_sweep`` drives the 99-point grid,
+``swap_uncomplexity`` and a fixed-beta ``compute_bound`` a grid of one point.
 
 A revisit is a cycle. The move from a state depends on the state alone
 and the pending set only shrinks, so a run that comes back to a state
@@ -134,11 +135,11 @@ class BoundReport:
     sweep_ms: float = field(default=0.0, compare=False)
 
 
-def _gibbs(graph: Graph, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The graph's Gibbs states ``exp(-beta L) / Z`` at each beta, stacked, and their entropies."""
-    w, v = laplacian_spectrum(graph)
+def _gibbs(spectra, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gibbs states ``exp(-beta L) / Z``, stacked, and entropies; a spectrum per beta or one."""
+    w, v = map(np.array, zip(*spectra))  # stacked here, so freed before the divergences
     p = gibbs_weights(w, betas)
-    return (v * p[:, None]) @ v.T, np.array([entropy_of_probs(row) for row in p])
+    return (v * p[:, None, :]) @ v.swapaxes(-1, -2), entropy_of_probs(p)
 
 
 def _divergences(rho, sigma, ids, placements) -> np.ndarray:
@@ -240,7 +241,7 @@ def _sweep(ig: InteractionGraph, a: Assignment, grid, budget: int) -> SweepResul
     that stalled wins only when every run stalled.
     """
     betas = np.array([check_beta(b) for b in grid])
-    sigma = _gibbs(a.cg_subgraph, betas)
+    sigma = _gibbs([laplacian_spectrum(a.cg_subgraph)], betas)
     rho = tuple(map(np.empty_like, sigma))  # row i: the Gibbs state of run i's pending graph
     built = [None] * len(grid)  # the pending set each row of rho holds
     runs = [_descent(ig, a, b, budget) for b in betas.tolist()]
@@ -255,13 +256,12 @@ def _sweep(ig: InteractionGraph, a: Assignment, grid, budget: int) -> SweepResul
                 traces[i] = end.value[1]
         if not asks:
             break
-        stale = {}  # pending set -> the runs whose row of rho it replaces
-        for i, (pending, _) in asks.items():
-            if pending is not built[i]:
-                built[i] = pending
-                stale.setdefault(pending, []).append(i)
-        for pending, ids in stale.items():
-            rho[0][ids], rho[1][ids] = _gibbs(Graph(ig.graph.n, pending), betas[ids])
+        stale = [i for i, (pending, _) in asks.items() if pending is not built[i]]
+        if stale:  # a spectrum per distinct new pending set, one Gibbs build for all their rows
+            for i in stale:
+                built[i] = asks[i][0]
+            eig = {p: laplacian_spectrum(Graph(ig.graph.n, p)) for p in {built[i] for i in stale}}
+            rho[0][stale], rho[1][stale] = _gibbs([eig[built[i]] for i in stale], betas[stale])
         placements = [p for _, p in asks.values()]  # 1 + |E_sub| each
         replies = dict(zip(asks, _divergences(rho, sigma, list(asks), placements).tolist()))
     best = min(traces, key=lambda t: (t.stalled, t.swap_count))  # min keeps the first

@@ -7,9 +7,11 @@ from swapbound.assignment import (
     assign_qubits,
     connected_subsets,
     enumerate_connected_subgraph_classes,
+    exchanges,
     graph_edit_distance,
     max_swap_bound,
     most_connected_subgraph,
+    pending_interactions,
     vf2_embed,
 )
 from swapbound.circuits import Circuit, interaction_graph
@@ -329,6 +331,37 @@ def test_most_connected_exchange_reaches_what_growth_misses():
     nodes = most_connected_subgraph(g, 3)
     assert nodes == (0, 2, 3)
     assert induced_subgraph(g, nodes).num_edges() == best == 3
+
+
+# --- routing model -------------------------------------------------------------
+
+def test_routing_model_matches_its_plain_definitions():
+    # An interaction is pending unless the subgraph has an edge between the
+    # labels of its endpoints; the exchange across subgraph edge (x, y) swaps
+    # the labels x and y wherever they sit in the placement.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        k = draw(st.integers(2, 8))
+        pairs = st.sampled_from(list(itertools.combinations(range(k), 2)))
+        # interactions in either orientation: the result keeps the tuples given
+        edges = {(u, v) if draw(st.booleans()) else (v, u) for u, v in draw(st.sets(pairs))}
+        sub = graph_from_edges(k, draw(st.sets(pairs)))
+        return frozenset(edges), sub, tuple(draw(st.permutations(range(k))))
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(cases())
+    def check(case):
+        edges, sub, pos = case
+        pending = frozenset(e for e in edges if not sub.has_edge(pos[e[0]], pos[e[1]]))
+        assert pending_interactions(edges, pos, sub.edges) == pending
+        assert exchanges(pos, sub) == [
+            tuple({x: y, y: x}.get(label, label) for label in pos) for x, y in sub.edge_list
+        ]
+
+    check()
 
 
 # --- max swap bound ------------------------------------------------------------

@@ -1,9 +1,14 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import swapbound
 from swapbound.errors import ValidationError
 from swapbound.graphs import Graph
 from swapbound.spectral import entropy_curve, laplacian
@@ -321,3 +326,30 @@ def test_cospectral_pair_entropy_equal_but_distinguishable():
         div = qjsd(graph_gibbs(g, beta), graph_gibbs(h, beta))
         assert div > 1e-10
         print(f"cospectral pair divergence at beta={beta}: {div:.6e}")
+
+
+# Runs in a fresh interpreter: the pipeline on an 8-qubit ring with a chord
+# (8-vertex Gibbs rows, some with underflowed weights) and the entropy
+# curve of a 9-vertex star, then lists the numpy.ma modules loaded.
+_NUMPY_MA_PROBE = """
+import sys
+from swapbound import Circuit, Graph, compute_bound, entropy_curve, interaction_graph
+from swapbound import standard_beta_grid
+ring = tuple((i, (i + 1) % 8) for i in range(8)) + ((0, 4),)
+line = Graph(9, frozenset((i, i + 1) for i in range(8)))
+compute_bound(interaction_graph(Circuit(8, ring)), line)
+entropy_curve(Graph(9, frozenset((0, i) for i in range(1, 9))), standard_beta_grid())
+print(sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "ma"]))
+"""
+
+
+def test_the_pipeline_does_not_import_numpy_ma():
+    # numpy.ma (which np.unique loads, for one) raises the peak RSS of the
+    # process that loads it; neither the sweep nor entropy_curve needs it
+    src = str(Path(swapbound.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-c", _NUMPY_MA_PROBE], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

@@ -525,18 +525,22 @@ def test_a_revisit_lap_does_no_routing_work(monkeypatch):
 def test_trimmed_gibbs_and_divergences_are_bit_identical_to_the_untrimmed_ones():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    seen = {"k >= 8": 0, "underflow": 0}
+    seen = dict.fromkeys(
+        ["k >= 8", "underflow", "k >= 8, < 8 non-zero", "zero-padded sum differs", "batch"], 0
+    )
 
     @st.composite
     def cases(draw):
         k = draw(st.integers(2, 9))
         sub = draw_connected(draw, st, k)
         pairs = list(itertools.combinations(range(k), 2))
-        pending = graph_from_edges(k, draw(st.sets(st.sampled_from(pairs), min_size=1)))
+        edges = st.sets(st.sampled_from(pairs), min_size=1)
+        pendings = [graph_from_edges(k, e) for e in draw(st.lists(edges, min_size=1, max_size=3))]
         grid = st.sampled_from((0.0,) + standard_beta_grid())
-        betas = draw(st.lists(grid, min_size=1, max_size=4))
+        row = st.tuples(st.integers(0, len(pendings) - 1), grid)  # (pending graph, beta)
+        rows = draw(st.lists(row, min_size=1, max_size=5))
         pos = tuple(draw(st.permutations(range(k))))
-        return sub, pending, betas, pos
+        return sub, pendings, rows, pos
 
     def same(x, y):
         x, y = np.asarray(x), np.asarray(y)
@@ -544,19 +548,35 @@ def test_trimmed_gibbs_and_divergences_are_bit_identical_to_the_untrimmed_ones()
 
     @hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @hypothesis.given(cases())
-    @hypothesis.example((path_graph(9), complete_graph(9), [1e5, 0.0, 1e-5], tuple(range(9))))
+    @hypothesis.example(
+        (path_graph(9), [complete_graph(9)], [(0, 1e5), (0, 0.0), (0, 1e-5)], tuple(range(9)))
+    )
+    # star(8) at beta 500 keeps 7 non-zero weights, and its entropy summed
+    # over the zero-padded row differs in the last bit
+    @hypothesis.example(
+        (star_graph(8), [complete_graph(8), star_graph(8)], [(1, 500.0), (0, 0.0), (1, 1e-5)],
+         tuple(range(8)))
+    )
     def check(case):
-        # every row of the batched states, weights and divergences against the
-        # untrimmed code at that row's beta
-        sub, pending, betas, pos = case
-        rho, sigma = _gibbs(pending, np.array(betas)), _gibbs(sub, np.array(betas))
+        # one batch of states, as the sweep builds it in a round (row i: the
+        # pending graph which[i] at betas[i]), and the subgraph's on a
+        # broadcast spectrum; every row, its weights and its divergences
+        # against the untrimmed code at that row's graph and beta
+        sub, pendings, rows, pos = case
+        which, betas = zip(*rows)
+        graphs = [pendings[j] for j in which]
+        betas = np.array(betas)
+        rho = _gibbs([laplacian_spectrum(g) for g in graphs], betas)
+        sigma = _gibbs([laplacian_spectrum(sub)], betas)
         placements = [pos] + exchanges(pos, sub)
         ids = list(range(len(betas)))[::-1]
         batch = _divergences(rho, sigma, ids, [placements] * len(ids))
         w, _ = laplacian_spectrum(sub)
-        weights = gibbs_weights(w, np.array(betas))
-        for i, beta in enumerate(betas):
-            for stack, graph in ((rho, pending), (sigma, sub)):
+        weights = gibbs_weights(w, betas)
+        ws = np.array([laplacian_spectrum(g)[0] for g in graphs])
+        pending_weights = gibbs_weights(ws, betas)
+        for i, beta in enumerate(betas.tolist()):
+            for stack, graph in ((rho, graphs[i]), (sigma, sub)):
                 matrix, entropy = state(stack, i)
                 old_matrix, old_entropy = untrimmed_gibbs(graph, beta)
                 assert same(matrix, old_matrix) and repr(float(entropy)) == repr(old_entropy)
@@ -565,11 +585,19 @@ def test_trimmed_gibbs_and_divergences_are_bit_identical_to_the_untrimmed_ones()
             assert same(batch[ids.index(i)], expected)
             assert same(weights[i], untrimmed_gibbs_weights(w, beta))
             assert same(gibbs_weights(w, beta), weights[i])
+            assert same(pending_weights[i], untrimmed_gibbs_weights(ws[i], beta))
+        all_weights = np.concatenate([weights, pending_weights])
+        entropies = np.concatenate([sigma[1], rho[1]])
+        logs = np.log(np.where(all_weights > 0.0, all_weights, 1.0))
+        padded = 0.0 - (all_weights * logs).sum(-1)  # the plain sum over whole rows
         seen["k >= 8"] += sub.n >= 8
         seen["underflow"] += bool((weights == 0.0).any())
+        seen["k >= 8, < 8 non-zero"] += sub.n >= 8 and bool(((all_weights > 0.0).sum(-1) < 8).any())
+        seen["zero-padded sum differs"] += bool((padded != entropies).any())
+        seen["batch"] += len(set(which)) > 1  # several pending graphs in one batch
 
     check()
-    assert all(seen.values())
+    assert all(seen.values()), seen
     for g in (path_graph(9), complete_graph(8), star_graph(5)):
         w, _ = laplacian_spectrum(g)
         expected = [
@@ -685,7 +713,8 @@ def test_divergences_one_gather_equals_per_placement_gathers(k):
         pending = random_interaction_graph(rng, k).graph
         sub = random_connected_graph(rng, k, 0.3)
         betas = np.array([1e-5, 1.0, 9e5])
-        rho, sigma = _gibbs(pending, betas), _gibbs(sub, betas)
+        rho = _gibbs([laplacian_spectrum(pending)], betas)
+        sigma = _gibbs([laplacian_spectrum(sub)], betas)
         ids = [2, 0, 1]  # each run gathers from its own row, with its own placements
         positions = [tuple(int(i) for i in rng.permutation(k)) for _ in ids]
         for asks in ([[p] for p in positions], [[p] + exchanges(p, sub) for p in positions]):
