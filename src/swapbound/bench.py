@@ -20,7 +20,7 @@ from .circuits import (
     parse_circuit_qasm_subset,
     parse_device,
 )
-from .errors import ParseError, SwapBoundError, SweepError, ValidationError
+from .errors import ParseError, SwapBoundError, ValidationError
 from .oracle import brute_force_min_swaps, within_guard
 from .uncomplexity import compute_bound
 
@@ -112,10 +112,14 @@ def run_pair(circuit_path: Path, device_path: Path) -> BenchRow:
         row.ged = report.ged
         row.method = report.method
         row.m_swap_max = report.m_swap_max
-        row.u_swap = report.u_swap
-        row.beta_star = report.beta_star
         row.assign_ms = report.assign_ms
         row.sweep_ms = report.sweep_ms
+        row.stalled = report.stalled
+        if report.stalled:  # no bound, so nothing for the oracle to check
+            row.error = "every sweep run stalled"
+            return row
+        row.u_swap = report.u_swap
+        row.beta_star = report.beta_star
 
         if within_guard(ig.graph.n):
             t0 = time.perf_counter()
@@ -123,9 +127,6 @@ def run_pair(circuit_path: Path, device_path: Path) -> BenchRow:
             row.oracle_ms = (time.perf_counter() - t0) * 1000
     except (SwapBoundError, OSError) as exc:
         row.error = str(exc)
-        row.stalled = isinstance(exc, SweepError)
-        if row.stalled:  # the assignment and the diameter bound were found before the sweep
-            row.ged, row.method, row.m_swap_max = exc.ged, exc.method, exc.m_swap_max
     return row
 
 

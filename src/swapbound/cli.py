@@ -24,7 +24,7 @@ from .bench import (
 )
 from .assignment import assign_qubits, max_swap_bound
 from .circuits import interaction_graph, parse_device
-from .errors import SizeGuardError, SwapBoundError, SweepError
+from .errors import SizeGuardError, SwapBoundError
 from .oracle import brute_force_min_swaps, brute_force_over_assignments, check_guard
 from .spectral import entropy_curve
 from .uncomplexity import (
@@ -141,7 +141,7 @@ def cmd_sweep(args) -> int:
     circuit, device, ig = _load_pair(args)
     report = compute_bound(ig, device.coupling)
     sys.stdout.write(csv_text(["beta", "m", "stalled"], report.per_beta))
-    return EXIT_OK
+    return EXIT_STALL if report.stalled else EXIT_OK
 
 
 def cmd_curve(args) -> int:
@@ -235,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (SwapBoundError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return {SizeGuardError: EXIT_GUARD, SweepError: EXIT_STALL}.get(type(exc), EXIT_INPUT)
+        return EXIT_GUARD if isinstance(exc, SizeGuardError) else EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -39,8 +39,4 @@ class SizeGuardError(ValidationError):
 
 
 class SweepError(SwapBoundError):
-    """Every run of a sweep stalled; ``compute_bound`` sets what it found before the sweep."""
-
-    ged: int | None = None
-    method: str = ""
-    m_swap_max: int | None = None
+    """Every run of a ``beta_sweep`` stalled (``compute_bound`` reports it as ``stalled``)."""

@@ -1,51 +1,51 @@
 """Divergence-guided swap counting: the descent behind ``u_swap``.
 
-Starting from a qubit assignment, interactions already sitting on
-couplers are erased; the loop then repeatedly evaluates, for every edge
-of the chosen subgraph, the divergence after exchanging the two occupants
-across it. The best strictly improving exchange is applied (one swap),
-newly executable interactions are erased, and the process repeats until
-the interaction state is maximally mixed. The swap count across the whole
-descent is the reported ``u_swap``.
+Starting from a qubit assignment, interactions already sitting on couplers are
+erased; the loop then repeatedly evaluates, for every edge of the chosen
+subgraph, the divergence after exchanging the two occupants across it. The
+best strictly improving exchange is applied (one swap), newly executable
+interactions are erased, and the process repeats until the interaction state
+is maximally mixed. The swap count is ``u_swap``. A run that does not stall is
+a feasible schedule, so ``oracle <= u_swap`` holds by construction; the
+paper's reading of ``u_swap`` as a lower bound is empirical only, and fails on
+some instances.
 
-A descent run that does not stall is a feasible schedule, so
-``oracle <= u_swap`` holds by construction. The paper reads ``u_swap`` as
-a lower bound; here that reading is empirical only, and it fails on some
-instances (``oracle`` can be smaller than ``u_swap``).
+The pending set is closed under the placement after every swap, so when no
+exchange improves the divergence there is nothing to erase either: the
+least-bad exchange is then applied anyway (a forced swap) against a stall
+budget, and a run that exhausts it is flagged stalled, not aborted. The budget
+is ``m_swap_max``: the diameter schedule routes every gate with that many
+swaps, so a run that spends more cannot give a useful estimate.
 
-Every iteration takes one swap path. The pending set is closed under the
-placement at the start and after every swap, so when no exchange improves
-the divergence there is nothing to erase either: the least-bad exchange
-is then applied anyway (a forced swap) against a stall budget, and runs
-that exhaust it are flagged rather than aborted. The budget is
-``m_swap_max``: the diameter schedule already routes every gate with that
-many swaps, so a run that spends more forced swaps counts more than it
-needs and cannot give a useful estimate.
+At small beta the descent is a greedy integer router. A Laplacian's Gibbs
+state, read as a density matrix (Braunstein, Ghosh and Severini, 2006), is
+``I/k - beta L~/k + O(beta^2)`` with ``L~`` the traceless part of ``L``, and
+the quantum Jensen-Shannon divergence of two such states (Majtey, Lamberti and
+Prato, PRA 72, 052310, 2005; De Domenico and Biamonte, PRX 6, 041062, 2016) is
+``D = beta^2/(8k) ||L~_pending - P L~_sub P^T||_F^2 + O(beta^3)`` (within 0.3%
+at beta = 1e-3). A placement enters ``D`` only through the integer score
+``F = tr(L_pending P L_sub P^T) = sum_i deg_pending(i) deg_sub(p(i)) + 2 X``,
+``X`` the pending pairs it puts on couplers, at ``beta^2/(4k)`` a unit. Tested
+for k <= 7: at beta <= 1e-3 each move maximises ``F``, and at 1e-5 a move is
+forced exactly when no exchange raises ``F`` (a unit exceeds ``EPS_IMP``).
 
-A run evaluates each ``(pending set, placement)`` state once: at its
-beta, the divergences depend only on the state and the subgraph, so the
-move chosen from a placement is kept until an erasure changes the pending
-set. A revisit costs a dict lookup and asks the routing model nothing,
-since a kept move erased nothing when it was made.
+A run evaluates each ``(pending set, placement)`` state once and keeps its
+move until an erasure changes the pending set; a revisit costs a dict lookup
+and no routing, as a kept move erased nothing when made. A revisit is a cycle:
+the move depends on the state alone and the pending set only shrinks, so the
+run repeats its moves (typically a forced swap A -> B answered by B -> A)
+until its stall budget or the iteration cap ends it, stalled. It walks the
+cycle to the end, so ``m`` and the trace do not depend on the memo.
 
-A run is a generator (``_descent``) that only routes: it yields the
-pending set and the placements of each fresh state and is sent their
-divergences. One driver (``_sweep``) advances the runs of a grid in
-lockstep and owns the Gibbs states: the subgraph's, built once for the
-whole grid, and each run's pending graph's. Once per round, across
-pending sets, it rebuilds the row of every run that yields a new set: a
-spectrum per distinct set, then one ``_gibbs`` for all those rows. One
-gather and one batched ``eigvalsh`` per round answer every run that asks.
-numpy works on each row and matrix of a stack separately, so batching
-changes no value. ``beta_sweep`` drives the 99-point grid,
-``swap_uncomplexity`` and a fixed-beta ``compute_bound`` a grid of one point.
-
-A revisit is a cycle. The move from a state depends on the state alone
-and the pending set only shrinks, so a run that comes back to a state
-erases nothing from then on: it repeats the same moves until its stall
-budget or the iteration cap ends it, stalled. The usual case is a forced
-swap A -> B answered by the improving swap B -> A. The run still walks
-the cycle to its end, so its ``m`` and trace do not depend on the memo.
+A run (``_descent``) only routes: it yields each fresh state's pending set and
+placements and is sent their divergences. One driver (``_sweep``) advances a
+grid's runs in lockstep and owns the Gibbs states: the subgraph's, built once
+per grid, and a row per run for its pending graph, rebuilt by one ``_gibbs``
+per round for every run that yields a new set. One gather and one batched
+``eigvalsh`` per round answer every run; numpy treats each row and matrix of a
+stack separately, so batching changes no value. ``beta_sweep`` and a swept
+``compute_bound`` drive the 99-point grid, ``swap_uncomplexity`` and a
+fixed-beta ``compute_bound`` a grid of one point.
 """
 
 from __future__ import annotations
@@ -272,9 +272,10 @@ def _sweep(ig: InteractionGraph, a: Assignment, grid, budget: int) -> SweepResul
 def compute_bound(ig: InteractionGraph, cg: Graph, *, beta: float | None = None) -> BoundReport:
     """The whole pipeline: assignment, max bound, then the divergence bound.
 
-    The divergence bound is swept over the standard grid, or taken at one
-    fixed ``beta``. A sweep in which every run stalls raises
-    :class:`SweepError`.
+    The divergence bound is swept over the standard grid, with every row in
+    ``per_beta``, or taken at one fixed ``beta``. The report is the best
+    run's, so it is ``stalled``, and gives no bound, exactly when every run
+    stalled; it never raises :class:`SweepError`.
     """
     t0 = time.perf_counter()
     placed = assign_qubits(ig, cg)
@@ -283,15 +284,8 @@ def compute_bound(ig: InteractionGraph, cg: Graph, *, beta: float | None = None)
     m_max = max_swap_bound(ig, a)
     t0 = time.perf_counter()
     sweep = _sweep(ig, a, standard_beta_grid() if beta is None else (beta,), m_max)
-    trace, per_beta = sweep.trace, None
-    if beta is None:
-        if trace.stalled:
-            exc = SweepError("every sweep run stalled")
-            exc.ged, exc.method, exc.m_swap_max = placed.ged, placed.method, m_max
-            raise exc
-        beta, per_beta = sweep.beta_star, sweep.per_beta
     sweep_ms = (time.perf_counter() - t0) * 1000
     return BoundReport(
-        trace.swap_count, beta, m_max, placed.ged, a, trace, trace.stalled, placed.method,
-        per_beta, assign_ms, sweep_ms,
+        sweep.m_star, sweep.beta_star, m_max, placed.ged, a, sweep.trace, sweep.trace.stalled,
+        placed.method, sweep.per_beta if beta is None else None, assign_ms, sweep_ms,
     )

@@ -17,7 +17,7 @@ import numpy as np
 
 from swapbound.assignment import Assignment, exchanges, pending_interactions
 from swapbound.errors import NumericalError, ValidationError
-from swapbound.graphs import Edge, Graph
+from swapbound.graphs import Edge, Graph, normalize_edge
 from swapbound.spectral import (
     check_beta,
     entropy_of_probs,
@@ -188,6 +188,26 @@ def aligned_qjsd(ig_remaining: Graph, a: Assignment, beta: float) -> float:
     rho = graph_gibbs(ig_remaining, beta)
     sigma = graph_gibbs(cg_in_ig_frame(a), beta)
     return qjsd(rho, sigma)
+
+
+# --- the small-beta limit ----------------------------------------------------
+
+
+def small_beta_score(pending, sub: Graph, pos) -> int:
+    """The integer score ``F`` the descent maximises as beta goes to 0.
+
+    ``F(p) = sum_i deg_pending(i) * deg_sub(p(i)) + 2 * #(pending pairs p
+    puts on couplers)``, which is ``tr(L_pending P L_sub P^T)``: the one
+    placement-dependent term of ``||L~_pending - P L~_sub P^T||_F^2``, so
+    to second order in beta the divergence falls by ``beta^2 / (4k)`` per
+    unit of ``F`` (``uncomplexity``'s docstring).
+    """
+    degree = [0] * len(pos)
+    for u, v in pending:
+        degree[u] += 1
+        degree[v] += 1
+    on_couplers = sum(normalize_edge(pos[u], pos[v]) in sub.edges for u, v in pending)
+    return sum(d * sub.degrees[p] for d, p in zip(degree, pos)) + 2 * on_couplers
 
 
 # --- one descent run, plainly --------------------------------------------------

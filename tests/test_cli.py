@@ -23,7 +23,6 @@ from swapbound.bench import (
 )
 from swapbound.circuits import interaction_graph, parse_device
 from swapbound.cli import main
-from swapbound.errors import SweepError
 from swapbound.uncomplexity import compute_bound, standard_beta_grid
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -215,15 +214,26 @@ def test_bound_stall_exit_two(capsys):
 @pytest.mark.parametrize("command", ["bound", "sweep"])
 def test_every_sweep_run_stalled_exit_two(capsys, monkeypatch, command):
     # one ultra-high-temperature grid point, where the run spends its stall
-    # budget, stalls the whole sweep: no report, one error line
+    # budget, stalls the whole sweep: the output is printed all the same,
+    # flagged stalled, with the assignment and the diameter bound `assign` gives
+    pair = ("--circuit", str(FIXTURES / "star4.json"), "--device", str(FIXTURES / "line5.json"))
+    assigned = json.loads(run_cli(capsys, "assign", *pair)[1])
+    _, fixed, _ = run_cli(capsys, "bound", *pair, "--beta", "1e-300")
     monkeypatch.setattr("swapbound.uncomplexity.standard_beta_grid", lambda: (1e-300,))
-    code, out, err = run_cli(
-        capsys,
-        command,
-        "--circuit", str(FIXTURES / "star4.json"),
-        "--device", str(FIXTURES / "line5.json"),
-    )
-    assert (code, out, err) == (2, "", "error: every sweep run stalled\n")
+    code, out, err = run_cli(capsys, command, *pair)
+    assert (code, err) == (2, "")
+    if command == "sweep":
+        assert out == f"beta,m,stalled\n1e-300,{assigned['m_swap_max']},true\n"
+        return
+    doc = json.loads(out)
+    jsonschema.validate(doc, SCHEMA)
+    assert doc["stalled"] is True
+    assert [doc[k] for k in ("ged", "method", "m_swap_max")] == [
+        assigned[k] for k in ("ged", "method", "m_swap_max")
+    ]
+    # the least-bad run is the one grid point's: the fixed-beta report plus its row
+    assert doc.pop("per_beta") == [[1e-300, doc["u_swap"], True]]
+    assert doc == json.loads(fixed)
 
 
 def test_qasm_circuit_through_cli(capsys):
@@ -358,15 +368,9 @@ def test_bench_records_row_failures(tmp_path, capsys):
 
 
 def test_bench_stalled_row_exit_two_other_failure_exit_one(tmp_path, capsys, monkeypatch):
-    # no bundled pair stalls at every beta, so the star4 pair's sweep is made to stall
-    real = swapbound.bench.compute_bound
-
-    def compute_bound(ig, cg, **kwargs):
-        if ig.graph.n == 4:
-            raise SweepError("every sweep run stalled")
-        return real(ig, cg, **kwargs)
-
-    monkeypatch.setattr("swapbound.bench.compute_bound", compute_bound)
+    # no bundled pair stalls at every beta, so the grid is one ultra-high-temperature
+    # point: star4 spends its stall budget there, and chain3 embeds on line5
+    monkeypatch.setattr("swapbound.uncomplexity.standard_beta_grid", lambda: (1e-300,))
     for name in ("chain3.json", "star4.json", "line5.json"):
         (tmp_path / name).write_text((FIXTURES / name).read_text())
     pairs = [{"circuit": c, "device": "line5.json"} for c in ("chain3.json", "star4.json")]

@@ -329,23 +329,38 @@ def test_cospectral_pair_entropy_equal_but_distinguishable():
 
 
 # Runs in a fresh interpreter: the pipeline on an 8-qubit ring with a chord
-# (8-vertex Gibbs rows, some with underflowed weights) and the entropy
-# curve of a 9-vertex star, then lists the numpy.ma modules loaded.
+# (8-vertex Gibbs rows, some with underflowed weights), the entropy curve of
+# a 9-vertex star, and the CLI paths the library calls do not reach: the
+# bundled bench manifest (vf2, similarity and dense placements, the oracle),
+# the oracle over all assignments and a device's curve, with their output
+# captured; then lists the numpy.ma modules loaded.
 _NUMPY_MA_PROBE = """
-import sys
+import contextlib, io, sys
+from pathlib import Path
+import swapbound
 from swapbound import Circuit, Graph, compute_bound, entropy_curve, interaction_graph
 from swapbound import standard_beta_grid
+from swapbound.cli import main
 ring = tuple((i, (i + 1) % 8) for i in range(8)) + ((0, 4),)
 line = Graph(9, frozenset((i, i + 1) for i in range(8)))
 compute_bound(interaction_graph(Circuit(8, ring)), line)
 entropy_curve(Graph(9, frozenset((0, i) for i in range(1, 9))), standard_beta_grid())
+fixtures = Path(swapbound.__file__).parent / "fixtures"
+pair = ["--circuit", str(fixtures / "paw4.json"), "--device", str(fixtures / "tshape7.json")]
+for argv in (
+    ["bench", str(fixtures / "manifest.json")],
+    ["oracle", *pair, "--all-assignments"],
+    ["curve", "--device", str(fixtures / "line5.json")],
+):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0, argv
 print(sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "ma"]))
 """
 
 
 def test_the_pipeline_does_not_import_numpy_ma():
     # numpy.ma (which np.unique loads, for one) raises the peak RSS of the
-    # process that loads it; neither the sweep nor entropy_curve needs it
+    # process that loads it; no library or CLI path needs it
     src = str(Path(swapbound.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     run = subprocess.run(

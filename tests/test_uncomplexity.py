@@ -56,6 +56,7 @@ from reference_spectral import (
     qjsd,
     reference_descent,
     remove_trivial_edges,
+    small_beta_score,
     untrimmed_divergences,
     untrimmed_entropy_of_probs,
     untrimmed_gibbs,
@@ -672,6 +673,69 @@ def test_descent_agrees_with_the_plain_reference_run():
     assert seen["near tie"] < seen["compared"], seen
 
 
+def test_small_beta_moves_maximise_the_integer_score():
+    # To second order in beta the divergence of a placement p is a constant
+    # minus beta^2/(4k) * F(p) (``small_beta_score``): at beta <= 1e-3 every
+    # move the descent evaluates is one of F's maximisers. At 1e-5 one unit of
+    # F is worth at least 1e-10/28 > EPS_IMP for k <= 7, and the third-order
+    # terms lie below EPS_IMP, so a move is forced exactly when no
+    # exchange raises F. At 1e-3 F ties can be decided by those terms, and
+    # the forced rule does not hold.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    seen = dict.fromkeys(["states", "forced", "improving", "exhausted", "k = 7"], 0)
+
+    @st.composite
+    def cases(draw):
+        k = draw(st.integers(2, 7))
+        ig = draw_connected(draw, st, k)
+        cg = draw_connected(draw, st, draw(st.integers(k, k + 2)), max_extra=2)  # sparse: swaps
+        return ig, cg
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(cases())
+    @hypothesis.example((complete_graph(7), cycle_graph(7)))
+    # one forced swap at 1e-5, then improving ones
+    @hypothesis.example(
+        (
+            graph_from_edges(5, [(0, 1), (0, 2), (0, 4), (1, 3), (2, 3), (3, 4)]),
+            graph_from_edges(5, [(0, 1), (0, 2), (1, 3), (3, 4)]),
+        )
+    )
+    # at 1e-5 the run spends its stall budget
+    @hypothesis.example(
+        (
+            graph_from_edges(6, [(0, 1), (0, 2), (0, 4), (2, 3), (2, 4), (4, 5)]),
+            graph_from_edges(8, [(0, 1), (0, 4), (1, 2), (2, 3), (3, 5), (4, 7), (5, 6)]),
+        )
+    )
+    def check(case):
+        graph, cg = case
+        ig = ig_of(graph)
+        a = assign_qubits(ig, cg).assignment
+        sub = a.cg_subgraph
+        for beta in (1e-5, 1e-4, 1e-3):
+            _, trace = swap_uncomplexity(ig, a, beta)
+            moves = [step for step in trace.steps if isinstance(step, SwapStep)]
+            if trace.steps and trace.steps[-1] == StallStep("stall budget exhausted"):
+                moves.append(None)  # evaluated and forced, but not made
+            for (pending, pos), step in zip(_states_evaluated(ig, a, trace), moves):
+                scores = [small_beta_score(pending, sub, p) for p in exchanges(pos, sub)]
+                if step is not None:
+                    assert scores[sub.edge_list.index(step.edge)] == max(scores)
+                if beta == 1e-5:
+                    forced = step is None or step.forced
+                    assert forced == (max(scores) <= small_beta_score(pending, sub, pos))
+                    seen["forced"] += forced
+                    seen["improving"] += not forced
+                seen["states"] += 1
+                seen["exhausted"] += step is None
+                seen["k = 7"] += ig.graph.n == 7
+
+    check()
+    assert all(seen.values()), seen
+
+
 def test_a_run_that_revisits_a_state_ends_stalled():
     # The move from a state depends on the state alone, so a run that comes
     # back to one (with no erasure between: the pending set only shrinks)
@@ -858,6 +922,23 @@ def test_fixed_beta_bound_matches_the_sweep_row_on_the_bundled_pairs():
             assert (report.u_swap, report.stalled) == (m, row_stalled)
             assert report.beta_star == b and report.per_beta is None
             stalled += row_stalled
+    assert stalled > 0
+
+
+def test_an_all_stalled_sweep_reports_its_least_bad_run(monkeypatch):
+    # on a grid of one ultra-high-temperature point no swap improves, so most
+    # pairs stall: the swept report is still returned, and it is the fixed-beta
+    # report of that point plus its per_beta row
+    monkeypatch.setattr("swapbound.uncomplexity.standard_beta_grid", lambda: (1e-300,))
+    fixtures = Path(swapbound.__file__).parent / "fixtures"
+    stalled = 0
+    for circuit_path, device_path in load_manifest(fixtures / "manifest.json"):
+        ig = interaction_graph(read_circuit_file(circuit_path))
+        cg = parse_device(device_path.read_bytes()).coupling
+        swept = compute_bound(ig, cg)
+        assert swept.per_beta == ((1e-300, swept.u_swap, swept.stalled),)
+        assert replace(swept, per_beta=None) == compute_bound(ig, cg, beta=1e-300)
+        stalled += swept.stalled
     assert stalled > 0
 
 
