@@ -29,29 +29,26 @@ at beta = 1e-3). A placement enters ``D`` only through the integer score
 for k <= 7: at beta <= 1e-3 each move maximises ``F``, and at 1e-5 a move is
 forced exactly when no exchange raises ``F`` (a unit exceeds ``EPS_IMP``).
 
-A run evaluates each ``(pending set, placement)`` state once and keeps its
-move until an erasure changes the pending set; a revisit costs a dict lookup
-and no routing, as a kept move erased nothing when made. A revisit is a cycle:
-the move depends on the state alone and the pending set only shrinks, so the
-run repeats its moves (typically a forced swap A -> B answered by B -> A)
-until its stall budget or the iteration cap ends it, stalled. It walks the
-cycle to the end, so ``m`` and the trace do not depend on the memo.
+A route is the set of a grid's runs that made the same moves so far: one
+placement, pending set, stall budget, memo and step log. It evaluates each
+``(pending set, placement)`` state once for all its runs and keeps the move until
+an erasure changes the pending set; a revisit costs a dict lookup and no routing,
+as a kept move erased nothing when made. A revisit is a cycle (the move depends on
+the state alone; the pending set only shrinks), walked until the stall budget or
+the iteration cap ends the route, stalled. Where its runs' moves part, it splits.
 
-A run (``_descent``) only routes: it yields each fresh state's pending set and
-placements and is sent their divergences. One driver (``_sweep``) advances a
-grid's runs in lockstep and owns the Gibbs states: the subgraph's, built once
-per grid, and a row per run for its pending graph, rebuilt by one ``_gibbs``
-per round for every run that yields a new set. One gather and one batched
-``eigvalsh`` per round answer every run; numpy treats each row and matrix of a
-stack separately, so batching changes no value. ``beta_sweep`` and a swept
-``compute_bound`` drive the 99-point grid, ``swap_uncomplexity`` and a
-fixed-beta ``compute_bound`` a grid of one point.
+One driver (``_routes``) advances the routes in lockstep and owns the Gibbs
+states: the subgraph's, once per grid, and a row per run for its pending graph,
+rebuilt by one ``_gibbs`` per round. One gather and one batched ``eigvalsh`` per
+round give every asking run its divergences; numpy treats each row and matrix of
+a stack separately, so batching changes no value. ``beta_sweep`` and a swept
+``compute_bound`` drive the 99-point grid, the fixed-beta calls a one-point grid.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Union
 
 import numpy as np
@@ -96,6 +93,7 @@ class StallStep:
 
 TraceStep = Union[SwapStep, EraseStep, StallStep]
 FORCING = StallStep("no improving swap; applying least-bad candidate")  # before a forced swap
+CAP, EXHAUSTED = StallStep("iteration cap reached"), StallStep("stall budget exhausted")
 
 
 @dataclass(frozen=True)
@@ -174,52 +172,79 @@ def swap_uncomplexity(ig: InteractionGraph, a: Assignment, beta: float) -> tuple
     return trace.swap_count, trace
 
 
-def _descent(ig: InteractionGraph, a: Assignment, beta: float, budget: int):
-    """One run: yields ``(pending set, placements)`` per fresh state, returns ``(m, trace)``."""
-    graph = ig.graph
-    if graph.n != a.cg_subgraph.n:
+@dataclass
+class _Route:
+    """Runs that made the same moves so far: one state, memo and step log for all of them."""
+    runs: list  # grid indices
+    pos: tuple
+    pending: frozenset
+    budget: int  # forced swaps left
+    m: int = 0
+    moves: dict = field(default_factory=dict)  # placement -> (swap, next placement)
+    log: list = field(default_factory=list)  # trace steps; a swap is (edge, forced, {run: qjsds})
+    stalled: bool = False
+
+    def trace(self, run: int, beta: float) -> AlgoTrace:
+        """Run ``run``'s trace: the log, with the run's own divergences in each swap."""
+        steps = [SwapStep(s[0], *s[2][run], s[1]) if isinstance(s, tuple) else s for s in self.log]
+        return AlgoTrace(tuple(steps), beta, self.m, self.stalled)
+
+
+def _routes(ig: InteractionGraph, a: Assignment, betas: np.ndarray, budget: int) -> list[_Route]:
+    """The runs of ``betas`` with ``budget`` forced swaps each, in the routes they end in."""
+    graph, sub = ig.graph, a.cg_subgraph
+    if graph.n != sub.n:
         raise ValidationError("assignment does not cover the interaction graph")
-    sub = a.cg_subgraph
-    pos = a.positions()
-    remaining = pending_interactions(graph.edges, pos, sub.edges)
-    steps: list[TraceStep] = []
-    m = 0
-    max_iterations = budget + len(remaining) * max(len(sub.edge_list), 1)
-    stalled = False
-    moves = {}  # placement -> (SwapStep, next placement) for this pending set
-
-    while remaining:
-        if m >= max_iterations:
-            steps.append(StallStep("iteration cap reached"))
-            stalled = True
-            break
-        fresh = pos not in moves
-        if fresh:
-            swapped = exchanges(pos, sub)
-            values = yield remaining, [pos] + swapped
-            qjsd1, best_val = values[0], min(values[1:])
-            best_i = values.index(best_val, 1) - 1  # first minimum = smallest edge
-            forced = not best_val < qjsd1 - EPS_IMP  # a NaN qjsd1 forces too
-            moves[pos] = SwapStep(sub.edge_list[best_i], qjsd1, best_val, forced), swapped[best_i]
-        step, next_pos = moves[pos]
-        if step.forced:
-            if budget <= 0:
-                steps.append(StallStep("stall budget exhausted"))
-                stalled = True
-                break
-            budget -= 1
-            steps.append(FORCING)
-        pos = next_pos
-        m += 1
-        steps.append(step)
-        if fresh:  # a move still in the memo erased nothing when it was made
-            still = pending_interactions(remaining, pos, sub.edges)
-            if still != remaining:
-                steps.append(EraseStep(tuple(sorted(remaining - still))))
-                remaining = still
-                moves.clear()
-
-    return m, AlgoTrace(tuple(steps), beta, m, stalled)
+    sigma = _gibbs([laplacian_spectrum(sub)], betas)
+    rho = tuple(map(np.empty_like, sigma))  # row i: the Gibbs state of run i's pending graph
+    pending = pending_interactions(graph.edges, a.positions(), sub.edges)
+    cap = budget + len(pending) * max(len(sub.edge_list), 1)
+    routes = [_Route(list(range(len(betas))), a.positions(), pending, budget)]
+    while True:
+        asking = []
+        for route in routes:  # an ended route is skipped at once
+            first = route.m + 1  # a route's first move in a round is the one it just evaluated
+            while route.pending and not route.stalled:
+                move = route.moves.get(route.pos)
+                if route.m >= cap or move and move[0][1] and route.budget <= 0:  # forced, none left
+                    route.log.append(CAP if route.m >= cap else EXHAUSTED)
+                    route.stalled = True
+                elif move is None:
+                    asking.append((route, exchanges(route.pos, sub)))
+                    break
+                else:
+                    swap, route.pos = move
+                    route.budget -= swap[1]  # a forced swap spends the stall budget
+                    route.log += (FORCING, swap) if swap[1] else (swap,)
+                    route.m += 1
+                    if route.m == first:  # a move still in the memo erased nothing when made
+                        still = pending_interactions(route.pending, route.pos, sub.edges)
+                        if still != route.pending:
+                            route.log.append(EraseStep(tuple(sorted(route.pending - still))))
+                            route.pending, route.moves = still, {}
+        if not asking:
+            return routes
+        # a new pending set (the first, or after an erasure): a spectrum per distinct set
+        if stale := [r for r, _ in asking if not r.log or isinstance(r.log[-1], EraseStep)]:
+            eig = {p: laplacian_spectrum(Graph(graph.n, p)) for p in {r.pending for r in stale}}
+            rows = [i for r in stale for i in r.runs]
+            spectra = [eig[r.pending] for r in stale for _ in r.runs]
+            rho[0][rows], rho[1][rows] = _gibbs(spectra, betas[rows])
+        placements = np.concatenate([np.repeat([[r.pos] + s], len(r.runs), 0) for r, s in asking])
+        ids = [i for r, _ in asking for i in r.runs]
+        values = iter(_divergences(rho, sigma, ids, placements).tolist())
+        for route, swapped in asking:
+            groups = {}  # (edge index, forced) -> {run: (qjsd before, best qjsd)}
+            for run, v in zip(route.runs, values):
+                best = min(v[1:])
+                key = v.index(best, 1) - 1, not best < v[0] - EPS_IMP  # first minimum; NaN forces
+                groups.setdefault(key, {})[run] = v[0], best
+            copies = [replace(route, moves={**route.moves}, log=[*route.log])
+                      for _ in range(len(groups) - 1)]  # a split: a memo and log per part
+            for child, ((i, forced), qjsds) in zip([route] + copies, groups.items()):
+                child.runs = list(qjsds)
+                child.moves[child.pos] = (sub.edge_list[i], forced, qjsds), swapped[i]
+            routes += copies
 
 
 def beta_sweep(ig: InteractionGraph, a: Assignment) -> SweepResult:
@@ -235,38 +260,13 @@ def beta_sweep(ig: InteractionGraph, a: Assignment) -> SweepResult:
 
 
 def _sweep(ig: InteractionGraph, a: Assignment, grid, budget: int) -> SweepResult:
-    """The runs of ``grid`` with ``budget`` forced swaps each, advanced in lockstep.
-
-    The result is the best run by ``(stalled, m, grid index)``: a run
-    that stalled wins only when every run stalled.
-    """
+    """The runs of ``grid``, ``budget`` forced swaps each; the best by ``(stalled, m, index)``."""
     betas = np.array([check_beta(b) for b in grid])
-    sigma = _gibbs([laplacian_spectrum(a.cg_subgraph)], betas)
-    rho = tuple(map(np.empty_like, sigma))  # row i: the Gibbs state of run i's pending graph
-    built = [None] * len(grid)  # the pending set each row of rho holds
-    runs = [_descent(ig, a, b, budget) for b in betas.tolist()]
-    traces: list = [None] * len(grid)
-    replies = dict.fromkeys(range(len(grid)))  # run index -> divergences; None starts a run
-    while replies:
-        asks = {}
-        for i, values in replies.items():
-            try:
-                asks[i] = runs[i].send(values)
-            except StopIteration as end:
-                traces[i] = end.value[1]
-        if not asks:
-            break
-        stale = [i for i, (pending, _) in asks.items() if pending is not built[i]]
-        if stale:  # a spectrum per distinct new pending set, one Gibbs build for all their rows
-            for i in stale:
-                built[i] = asks[i][0]
-            eig = {p: laplacian_spectrum(Graph(ig.graph.n, p)) for p in {built[i] for i in stale}}
-            rho[0][stale], rho[1][stale] = _gibbs([eig[built[i]] for i in stale], betas[stale])
-        placements = [p for _, p in asks.values()]  # 1 + |E_sub| each
-        replies = dict(zip(asks, _divergences(rho, sigma, list(asks), placements).tolist()))
-    best = min(traces, key=lambda t: (t.stalled, t.swap_count))  # min keeps the first
-    per_beta = tuple((b, t.swap_count, t.stalled) for b, t in zip(grid, traces))
-    return SweepResult(best.beta, best.swap_count, per_beta, best)
+    owner = {run: route for route in _routes(ig, a, betas, budget) for run in route.runs}
+    per_beta = tuple((b, owner[i].m, owner[i].stalled) for i, b in enumerate(grid))
+    best = min(range(len(grid)), key=lambda i: (owner[i].stalled, owner[i].m))  # the first minimum
+    trace = owner[best].trace(best, float(betas[best]))
+    return SweepResult(trace.beta, trace.swap_count, per_beta, trace)
 
 
 def compute_bound(ig: InteractionGraph, cg: Graph, *, beta: float | None = None) -> BoundReport:

@@ -26,9 +26,9 @@ from swapbound.uncomplexity import (
     StallStep,
     SwapStep,
     SweepResult,
-    _descent,
     _divergences,
     _gibbs,
+    _routes,
     _sweep,
     beta_sweep,
     compute_bound,
@@ -383,24 +383,51 @@ def test_sweep_calls_go_through_the_traced_module_names(monkeypatch):
 
 def _sweep_traces(monkeypatch):
     """``beta_sweep`` as a function that returns its result (or the ``SweepError``
-    it raised) and every run's ``(m, trace)`` in grid order, collected from the
-    runs the lockstep driver advances."""
-    runs = {}
+    it raised), every run's ``(m, trace)`` in grid order and the routes the runs
+    ended in; each trace is built by ``_Route.trace``, as the winner's is."""
+    ended = {}
 
-    def collected(ig, a, beta, budget):
-        runs[beta] = yield from _descent(ig, a, beta, budget)
-        return runs[beta]
+    def collected(ig, a, betas, budget):
+        ended.update(betas=betas.tolist(), routes=_routes(ig, a, betas, budget))
+        return ended["routes"]
 
     def sweep(ig, a):
-        runs.clear()
+        ended.clear()
         try:
             outcome = beta_sweep(ig, a)
         except SweepError as exc:
             outcome = exc
-        return outcome, [runs[b] for b in sorted(runs)]
+        owner = {run: route for route in ended["routes"] for run in route.runs}
+        traces = [owner[i].trace(i, beta) for i, beta in enumerate(ended["betas"])]
+        return outcome, [(t.swap_count, t) for t in traces], ended["routes"]
 
-    monkeypatch.setattr("swapbound.uncomplexity._descent", collected)
+    monkeypatch.setattr("swapbound.uncomplexity._routes", collected)
     return sweep
+
+
+def _moves(trace) -> list:
+    """The ``(edge, forced)`` choice of each swap: runs that share them share a route."""
+    return [(step.edge, step.forced) for step in trace.steps if isinstance(step, SwapStep)]
+
+
+def _erases_after_a_split(traces) -> bool:
+    """Whether some route erases after its first move that no other route made.
+
+    ``traces`` holds one run's trace per route.
+    """
+    moves = [_moves(trace) for trace in traces]
+    for j, trace in enumerate(traces):
+        shared = max(
+            next((n for n, (x, y) in enumerate(zip(moves[j], other)) if x != y),
+                 min(len(moves[j]), len(other)))
+            for k, other in enumerate(moves) if k != j
+        )
+        swaps = 0
+        for step in trace.steps:
+            swaps += isinstance(step, SwapStep)
+            if isinstance(step, EraseStep) and swaps > shared:
+                return True
+    return False
 
 
 def test_lockstep_sweep_is_bit_identical_to_the_plain_loop(monkeypatch):
@@ -410,7 +437,10 @@ def test_lockstep_sweep_is_bit_identical_to_the_plain_loop(monkeypatch):
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     sweep = _sweep_traces(monkeypatch)
-    cases_seen = ["no request", "stalled", "one point", "all stalled", "k >= 7"]
+    cases_seen = [
+        "no request", "stalled", "one point", "all stalled", "k >= 7", "routes split",
+        "a split route erases",
+    ]
     seen = dict.fromkeys(cases_seen, 0)
 
     @st.composite
@@ -434,7 +464,7 @@ def test_lockstep_sweep_is_bit_identical_to_the_plain_loop(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr("swapbound.uncomplexity.standard_beta_grid", lambda: betas)
             plain = [swap_uncomplexity(ig, a, b) for b in betas]
-            outcome, runs = sweep(ig, a)
+            outcome, runs, routes = sweep(ig, a)
         assert repr(runs) == repr(plain)
         # the sweep the plain loop gives: first minimum over the runs that did not stall
         per_beta, best = [], None
@@ -451,6 +481,9 @@ def test_lockstep_sweep_is_bit_identical_to_the_plain_loop(monkeypatch):
         seen["one point"] += len(betas) == 1
         seen["all stalled"] += best is None
         seen["k >= 7"] += ig.graph.n >= 7
+        seen["routes split"] += len(routes) > 1
+        route_traces = [runs[route.runs[0]][1] for route in routes]
+        seen["a split route erases"] += len(routes) > 1 and _erases_after_a_split(route_traces)
 
     check()
     assert all(seen.values()), seen
@@ -492,7 +525,8 @@ def test_a_revisit_lap_does_no_routing_work(monkeypatch):
     # A state still in the memo made a move that erased nothing, and the same
     # move from the same pending set erases nothing again: only the initial
     # pending set and swaps made from a freshly evaluated state ask the
-    # routing model. The traces stay those of the descent that always asked.
+    # routing model, once per route, for all the runs that made the same
+    # moves. The traces stay those of the descent that always asked.
     sweep = _sweep_traces(monkeypatch)
     calls = 0
 
@@ -512,12 +546,15 @@ def test_a_revisit_lap_does_no_routing_work(monkeypatch):
         a = build_assignment(cg, tuple(range(cg.n)))
         traces = [trace for _, trace in sweep(ig, a)[1]]
         fresh = swaps = 0
+        routed = set()  # each route's fresh states, named by the moves up to and from them
         for trace in traces:
             states = _states_evaluated(ig, a, trace)[: trace.swap_count]
             swaps += len(states)
             fresh += len(set(states))
+            moves = _moves(trace)
+            routed |= {tuple(moves[: states.index(s) + 1]) for s in set(states)}
         assert len(traces) == 99
-        assert calls == 99 + fresh
+        assert calls == 1 + len(routed) < 99 + fresh
         assert (fresh < swaps) == revisits
         digest = hashlib.sha256(repr(traces).encode()).hexdigest()
         assert digest == SWEEP_TRACE_DIGESTS[name]
