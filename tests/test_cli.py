@@ -367,13 +367,34 @@ def test_bench_records_row_failures(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_bench_stalled_row_exit_two_other_failure_exit_one(tmp_path, capsys, monkeypatch):
+    # no bundled pair stalls at every beta, so the grid is one ultra-high-temperature
+    # point: star4 spends its stall budget there, and chain3 embeds on line5
+    monkeypatch.setattr("swapbound.uncomplexity.standard_beta_grid", lambda: (1e-300,))
+    for name in ("chain3.json", "star4.json", "line5.json"):
+        (tmp_path / name).write_text((FIXTURES / name).read_text())
+    pairs = [{"circuit": c, "device": "line5.json"} for c in ("chain3.json", "star4.json")]
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text(json.dumps({"pairs": pairs}))
+    code, out, _ = run_cli(capsys, "bench", str(mpath))
+    assert code == 2
+    header, good, stalled = csv.reader(io.StringIO(out))
+    row = dict(zip(header, stalled))
+    assert (row["benchmark"], row["stalled"], row["error"]) == (
+        "star4", "true", "every sweep run stalled"
+    )
+    assert dict(zip(header, good))["error"] == ""
+    # a row that failed for another reason still exits 1
+    mpath.write_text(json.dumps({"pairs": pairs + [{"circuit": "x.json", "device": "line5.json"}]}))
+    assert run_cli(capsys, "bench", str(mpath))[0] == 1
+
+
 def test_bench_summary_counts_stalled_rows_apart_from_failed_ones(
     tmp_path, capsys, monkeypatch
 ):
-    # no bundled pair stalls at every beta, so the grid is one ultra-high-temperature
-    # point: at beta = 1e-300 no exchange can improve by the strict margin, so the
-    # star4 pair spends its stall budget there and its row stalls; chain3 embeds
-    # on line5 and needs no swap at all
+    # at beta = 1e-300 no exchange can improve by the strict margin, so the
+    # star4 pair spends its stall budget at the one grid point and its row
+    # stalls; chain3 embeds on line5 and needs no swap at all
     monkeypatch.setattr("swapbound.uncomplexity.standard_beta_grid", lambda: (1e-300,))
     for name in ("chain3.json", "star4.json", "line5.json"):
         (tmp_path / name).write_text((FIXTURES / name).read_text())
@@ -385,15 +406,13 @@ def test_bench_summary_counts_stalled_rows_apart_from_failed_ones(
     assert json.loads(err) == summary
     assert code == 2
     assert (summary["failed_rows"], summary["stalled_rows"]) == (1, 1)
-    header, good, stalled = csv.reader(io.StringIO(out))
-    row = dict(zip(header, stalled))
-    assert (row["benchmark"], row["stalled"], row["error"]) == (
-        "star4", "true", "every sweep run stalled"
-    )
-    assert dict(zip(header, good))["error"] == ""
     # the stalled row keeps the assignment and the diameter bound found before
     # the sweep: the values `swapbound assign` prints for star4@line5
-    assert (row["ged"], row["method"], row["m_swap_max"]) == ("2", "similarity", "6")
+    header, _, stalled = csv.reader(io.StringIO(out))
+    row = dict(zip(header, stalled))
+    assert (row["stalled"], row["ged"], row["method"], row["m_swap_max"]) == (
+        "true", "2", "similarity", "6"
+    )
     assert (row["u_swap"], row["beta_star"], row["oracle"]) == ("", "", "")
     # a row that fails for another reason adds to failed_rows only, and exits 1
     pairs.append({"circuit": "missing.json", "device": "line5.json"})
