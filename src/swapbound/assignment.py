@@ -10,7 +10,7 @@ fall back to a greedy most-connected-subgraph search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .circuits import InteractionGraph
@@ -28,29 +28,25 @@ from .graphs import (
 
 @dataclass(frozen=True)
 class Assignment:
-    """Injective placement of IG vertices onto a connected CG node subset.
+    """Injective placement of IG vertices onto a connected node subset of ``cg``.
 
-    ``cg_subgraph`` is the induced subgraph on ``cg_subgraph_nodes``
-    (sorted ascending), relabeled to 0..k-1 in that order.
+    ``cg_subgraph_nodes`` is the image of ``ig_to_cg`` sorted ascending, and
+    ``cg_subgraph`` the induced subgraph on it, relabeled to 0..k-1 in that order.
     """
 
     ig_to_cg: tuple[int, ...]
-    cg_subgraph_nodes: tuple[int, ...]
-    cg_subgraph: Graph
+    cg: Graph
+    cg_subgraph_nodes: tuple[int, ...] = field(init=False)
+    cg_subgraph: Graph = field(init=False)
 
     def __post_init__(self):
-        nodes = self.cg_subgraph_nodes
-        if tuple(sorted(nodes)) != nodes:
-            raise ValidationError("cg_subgraph_nodes must be sorted ascending")
-        if len(set(self.ig_to_cg)) != len(self.ig_to_cg):
-            raise ValidationError("assignment is not injective")
-        if set(self.ig_to_cg) != set(nodes):
-            raise ValidationError("assignment image must equal the chosen node set")
-        if self.cg_subgraph.n != len(nodes):
-            raise ValidationError("subgraph size differs from the chosen node set")
-        if not is_connected(self.cg_subgraph):
+        nodes = tuple(sorted(self.ig_to_cg))
+        sub = induced_subgraph(self.cg, nodes)  # rejects repeated and out-of-range nodes
+        if not is_connected(sub):
             raise ValidationError("chosen CG subgraph is disconnected")
         index = {node: i for i, node in enumerate(nodes)}
+        object.__setattr__(self, "cg_subgraph_nodes", nodes)
+        object.__setattr__(self, "cg_subgraph", sub)
         object.__setattr__(self, "_positions", tuple(index[c] for c in self.ig_to_cg))
 
     def positions(self) -> tuple[int, ...]:
@@ -130,23 +126,28 @@ def connected_subsets(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
         yield from extend([start], ext0, closed0, start)
 
 
-def _classes_from_subsets(cg: Graph, subsets: Sequence[tuple[int, ...]]) -> list[SubgraphClass]:
+CLASS_BUDGET = 100_000  # connected subsets a class enumeration may visit
+
+
+def enumerate_connected_subgraph_classes(cg: Graph, k: int) -> list[SubgraphClass] | None:
+    """One entry per isomorphism class of connected induced k-subgraphs.
+
+    ``None`` when ``cg`` has more than ``CLASS_BUDGET`` connected k-subsets:
+    they are counted before any is classed. The representative is the first
+    subset of its class in ``connected_subsets`` order, which need not be the
+    smallest: on the path 2-0-3-1 at k = 3 it is ``(0, 2, 3)``, not
+    ``(0, 1, 3)``. Entries are sorted by representative.
+    """
+    subsets = []
+    for subset in connected_subsets(cg, k):
+        subsets.append(subset)
+        if len(subsets) > CLASS_BUDGET:
+            return None
     classes: dict[tuple[int, int], SubgraphClass] = {}
     for subset in subsets:
         sub = induced_subgraph(cg, subset)
         classes.setdefault(canonical_form(sub), SubgraphClass(subset, sub))
     return sorted(classes.values(), key=lambda c: c.representative_nodes)
-
-
-def enumerate_connected_subgraph_classes(cg: Graph, k: int) -> list[SubgraphClass]:
-    """One entry per isomorphism class of connected induced k-subgraphs.
-
-    The representative is the first subset of its class in
-    ``connected_subsets`` order, which need not be the smallest: on the path
-    2-0-3-1 at k = 3 it is ``(0, 2, 3)``, not ``(0, 1, 3)``. Entries are
-    sorted by representative.
-    """
-    return _classes_from_subsets(cg, list(connected_subsets(cg, k)))
 
 
 def vf2_embed(pattern: Graph, host: Graph) -> tuple[int, ...] | None:
@@ -300,9 +301,6 @@ def _greedy_bijection(ig_graph: Graph, sub: Graph) -> tuple[int, ...]:
     return tuple(bij)
 
 
-CLASS_BUDGET = 100_000  # connected subsets the similarity search may enumerate
-
-
 def assign_qubits(ig: InteractionGraph, cg: Graph) -> AssignmentResult:
     """Full placement pipeline, returning the assignment and its GED.
 
@@ -324,36 +322,26 @@ def assign_qubits(ig: InteractionGraph, cg: Graph) -> AssignmentResult:
 
     embedding = vf2_embed(ig.graph, cg)
     if embedding is not None:
-        nodes = tuple(sorted(embedding))
-        sub = induced_subgraph(cg, nodes)
-        if is_connected(sub):
-            return AssignmentResult(Assignment(tuple(embedding), nodes, sub), 0, "vf2")
+        if is_connected(induced_subgraph(cg, sorted(embedding))):
+            return AssignmentResult(Assignment(embedding, cg), 0, "vf2")
         # Disconnected image (possible for disconnected IGs): fall through
         # to the similarity search, whose hosts are connected by construction.
 
     dense = ig.graph.is_complete() and k >= 2
-    subsets: list[tuple[int, ...]] = []
-    if not dense:
-        for subset in connected_subsets(cg, k):
-            subsets.append(subset)
-            if len(subsets) > CLASS_BUDGET:
-                dense = True
-                break
-
-    if dense:
+    classes = None if dense else enumerate_connected_subgraph_classes(cg, k)
+    if classes is None:
         nodes = most_connected_subgraph(cg, k)
         sub = induced_subgraph(cg, nodes)
         bij = _greedy_bijection(ig.graph, sub)
-        assignment = Assignment(tuple(nodes[b] for b in bij), nodes, sub)
-        ged = _bijection_cost(ig.graph, sub, bij)
-        return AssignmentResult(assignment, ged, "dense")
+        assignment = Assignment(tuple(nodes[b] for b in bij), cg)
+        return AssignmentResult(assignment, _bijection_cost(ig.graph, sub, bij), "dense")
 
     ged, best = min(
-        ((graph_edit_distance(ig.graph, c.graph), c) for c in _classes_from_subsets(cg, subsets)),
+        ((graph_edit_distance(ig.graph, c.graph), c) for c in classes),
         key=lambda rc: (rc[0].distance, -rc[1].graph.num_edges(), rc[1].representative_nodes),
     )
     nodes = best.representative_nodes
-    assignment = Assignment(tuple(nodes[b] for b in ged.best_bijection), nodes, best.graph)
+    assignment = Assignment(tuple(nodes[b] for b in ged.best_bijection), cg)
     return AssignmentResult(assignment, ged.distance, "similarity")
 
 

@@ -54,12 +54,13 @@ class InteractionGraph:
 @dataclass(frozen=True)
 class DeviceSpec:
     name: str
-    num_qubits: int
     coupling: Graph
 
+    @property
+    def num_qubits(self) -> int:
+        return self.coupling.n
+
     def __post_init__(self):
-        if self.coupling.n != self.num_qubits:
-            raise ValidationError("coupling graph size differs from num_qubits")
         if not is_connected(self.coupling):
             comps = connected_components(self.coupling)
             raise ValidationError(f"device coupling is disconnected: components {comps}")
@@ -84,6 +85,8 @@ def _load_json(text: bytes | str) -> dict:
         doc = json.loads(_decode(text))
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON: {exc.msg}", line=exc.lineno, offset=exc.colno) from exc
+    except RecursionError as exc:
+        raise ParseError("JSON nests too deeply") from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")
     return doc
@@ -190,7 +193,7 @@ def parse_device(text: bytes | str) -> DeviceSpec:
     name = _name(doc)
     pairs = _int_pairs(doc["edges"], "edge", "endpoints")
     coupling = Graph(num_qubits, frozenset(normalize_edge(u, v) for u, v in pairs))
-    return DeviceSpec(name, num_qubits, coupling)
+    return DeviceSpec(name, coupling)
 
 
 def interaction_graph(circuit: Circuit) -> InteractionGraph:

@@ -34,6 +34,7 @@ import heapq
 import itertools
 from collections import Counter
 
+from . import assignment
 from .assignment import (
     Assignment,
     enumerate_connected_subgraph_classes,
@@ -164,19 +165,23 @@ def brute_force_over_assignments(ig: Graph, cg: Graph) -> tuple[int, Assignment]
 
     Minimizes over all connected-subgraph class representatives and all
     initial bijections onto each; intended for validation at small sizes.
+    Raises :class:`SizeGuardError` past ``CLASS_BUDGET`` connected subsets.
     """
     check_guard(ig.n)
     if not is_connected(cg):
         raise ValidationError("coupling graph must be connected")
+    classes = enumerate_connected_subgraph_classes(cg, ig.n)
+    if classes is None:
+        budget = assignment.CLASS_BUDGET
+        raise SizeGuardError(f"class enumeration is guarded at {budget} connected {ig.n}-subsets")
     remaining0 = frozenset(ig.edges)
     starts = list(itertools.permutations(range(ig.n)))
     best: tuple[int, Assignment] | None = None
-    for cls in enumerate_connected_subgraph_classes(cg, ig.n):
+    for cls in classes:
         count, start = _min_swaps(starts, remaining0, cls.graph)
         if best is None or count < best[0]:
             nodes = cls.representative_nodes
-            assignment = Assignment(tuple(nodes[s] for s in start), nodes, cls.graph)
-            best = (count, assignment)
+            best = (count, Assignment(tuple(nodes[s] for s in start), cg))
             if count == 0:
                 break
     return best

@@ -11,7 +11,7 @@ import pytest
 
 from swapbound.assignment import Assignment
 from swapbound.circuits import Circuit, interaction_graph
-from swapbound.graphs import Graph, induced_subgraph, is_connected, normalize_edge
+from swapbound.graphs import Graph, is_connected, normalize_edge
 
 
 # --- named small graphs -------------------------------------------------
@@ -135,9 +135,8 @@ def graph_from_edges(n: int, edges) -> Graph:
 
 
 def build_assignment(cg: Graph, ig_to_cg) -> Assignment:
-    """IG vertex ``i`` on device node ``ig_to_cg[i]``, on the induced subgraph."""
-    nodes = tuple(sorted(ig_to_cg))
-    return Assignment(tuple(ig_to_cg), nodes, induced_subgraph(cg, nodes))
+    """IG vertex ``i`` on device node ``ig_to_cg[i]``."""
+    return Assignment(tuple(ig_to_cg), cg)
 
 
 def relabel(g: Graph, mapping) -> Graph:

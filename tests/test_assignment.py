@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from swapbound.assignment import (
+    Assignment,
     assign_qubits,
     connected_subsets,
     enumerate_connected_subgraph_classes,
@@ -84,6 +85,57 @@ def test_single_class_hosts():
 def test_enumerate_rejects_oversize():
     with pytest.raises(ValidationError):
         enumerate_connected_subgraph_classes(path_graph(3), 4)
+
+
+def test_enumerate_past_the_class_budget_is_none_and_classes_nothing(tshape7, monkeypatch):
+    count = len(list(connected_subsets(tshape7, 4)))
+    monkeypatch.setattr("swapbound.assignment.CLASS_BUDGET", count)
+    assert len(enumerate_connected_subgraph_classes(tshape7, 4)) == 2  # at the budget
+    monkeypatch.setattr("swapbound.assignment.CLASS_BUDGET", count - 1)
+    monkeypatch.setattr("swapbound.assignment.canonical_form", lambda g: pytest.fail("classed"))
+    assert enumerate_connected_subgraph_classes(tshape7, 4) is None
+    monkeypatch.setattr("swapbound.assignment.CLASS_BUDGET", 2)
+    assert enumerate_connected_subgraph_classes(tshape7, 4) is None
+
+
+# --- the assignment ------------------------------------------------------------
+
+def test_assignment_derives_the_induced_subgraph_and_positions():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        # a random spanning tree plus extra edges, relabeled: any connected device
+        n = draw(st.integers(1, 9))
+        label = draw(st.permutations(range(n)))
+        edges = [(label[i], label[draw(st.integers(0, i - 1))]) for i in range(1, n)]
+        if n > 1:
+            edges += draw(st.sets(st.sampled_from(list(itertools.combinations(range(n), 2)))))
+        cg = graph_from_edges(n, edges)
+        subset = draw(st.sampled_from(list(connected_subsets(cg, draw(st.integers(1, n))))))
+        return cg, tuple(draw(st.permutations(subset)))
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(cases())
+    def check(case):
+        cg, ig_to_cg = case
+        a = Assignment(ig_to_cg, cg)
+        assert a.cg_subgraph_nodes == tuple(sorted(ig_to_cg))
+        assert a.cg_subgraph == induced_subgraph(cg, a.cg_subgraph_nodes)
+        assert tuple(a.cg_subgraph_nodes[x] for x in a.positions()) == ig_to_cg
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "ig_to_cg, match",
+    [((0, 1, 1), "duplicate vertices"), ((0, 1, 4), "out of range"), ((0, 2), "disconnected")],
+    ids=["repeated", "out_of_range", "disconnected"],
+)
+def test_assignment_rejects_a_repeated_out_of_range_or_disconnected_image(ig_to_cg, match):
+    with pytest.raises(ValidationError, match=match):
+        Assignment(ig_to_cg, path_graph(4))
 
 
 # --- vf2 -------------------------------------------------------------------

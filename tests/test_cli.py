@@ -172,6 +172,16 @@ def test_oracle_guard_exit_three(tmp_path, capsys, monkeypatch):
     assert placed == []
 
 
+def test_oracle_all_assignments_past_the_class_budget_exit_three(capsys, monkeypatch):
+    # the pipeline scope places paw4 by the dense fallback instead
+    monkeypatch.setattr("swapbound.assignment.CLASS_BUDGET", 2)
+    pair = ("--circuit", str(FIXTURES / "paw4.json"), "--device", str(FIXTURES / "tshape7.json"))
+    assert run_cli(capsys, "oracle", *pair, "--all-assignments") == (
+        3, "", "error: class enumeration is guarded at 2 connected 4-subsets\n"
+    )
+    assert run_cli(capsys, "oracle", *pair)[0] == 0
+
+
 @pytest.mark.parametrize(
     "extra, scope",
     [((), "pipeline-assignment"), (("--all-assignments",), "all-assignments")],
@@ -462,6 +472,33 @@ def test_bench_quotes_an_error_that_holds_a_comma(tmp_path, capsys):
     assert len(header) == len(good) == len(bad) == 19
     assert "," in bad[header.index("error")]
     assert bad[header.index("error")].startswith("malformed JSON")
+
+
+# valid JSON that the parser cannot descend into: it raised RecursionError
+NESTED_CIRCUIT = '{"qubits": 2, "gates": ' + "[" * 200_000 + "]" * 200_000 + "}"
+
+
+def test_bound_deeply_nested_circuit_exit_one(tmp_path, capsys):
+    (tmp_path / "nested.json").write_text(NESTED_CIRCUIT)
+    assert run_cli(
+        capsys, "bound", "--circuit", str(tmp_path / "nested.json"),
+        "--device", str(FIXTURES / "line5.json"),
+    ) == (1, "", "error: JSON nests too deeply\n")
+
+
+def test_bench_records_deeply_nested_row_and_keeps_the_others(tmp_path, capsys):
+    (tmp_path / "nested.json").write_text(NESTED_CIRCUIT)
+    for name in ("chain3.json", "line5.json"):
+        (tmp_path / name).write_text((FIXTURES / name).read_text())
+    pairs = [("chain3.json", "line5.json"), ("nested.json", "line5.json")]
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text(json.dumps({"pairs": [{"circuit": c, "device": d} for c, d in pairs]}))
+    code, out, _ = run_cli(capsys, "bench", str(mpath))
+    assert code == 1
+    header, good, bad = csv.reader(io.StringIO(out))
+    error = header.index("error")
+    assert good[error] == "" and good[header.index("u_swap")] == "0"
+    assert (bad[0], bad[error]) == ("nested", "JSON nests too deeply")
 
 
 @pytest.mark.parametrize(

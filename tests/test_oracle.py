@@ -100,6 +100,13 @@ def test_over_assignments_rejects_a_disconnected_coupling_graph(cg):
         brute_force_over_assignments(ig, cg)
 
 
+def test_over_assignments_past_the_class_budget_raises_before_any_search(tshape7, monkeypatch):
+    monkeypatch.setattr("swapbound.assignment.CLASS_BUDGET", 2)
+    monkeypatch.setattr("swapbound.oracle._min_swaps", lambda *args: pytest.fail("searched"))
+    with pytest.raises(SizeGuardError, match="guarded at 2 connected 4-subsets"):
+        brute_force_over_assignments(star_graph(4), tshape7)
+
+
 def test_size_guard():
     big = path_graph(9)
     a = build_assignment(path_graph(9), tuple(range(9)))
