@@ -1,11 +1,15 @@
 """Qubit assignment: place interaction-graph vertices onto device nodes.
 
 The pipeline first looks for a subgraph monomorphism (every required
-interaction lands on a coupler). Failing that, it enumerates the
-isomorphism classes of connected induced subgraphs of the right size and
-picks the one at minimal graph edit distance. Complete interaction
-graphs, and instances whose class enumeration would blow past a budget,
-fall back to a greedy most-connected-subgraph search.
+interaction lands on a coupler). Failing that, it picks the isomorphism
+class of connected induced subgraphs of the right size at minimal graph
+edit distance. The connected subsets are grouped by an invariant (induced
+edge count and degree sequence), and each group gets a degree floor on
+the GED of its classes. Groups are classed in floor order, each GED search
+starts from the best distance so far as its cutoff, and the search stops
+at the first group that cannot win. Complete interaction graphs, and
+instances whose class enumeration would blow past a budget, fall back to
+a greedy most-connected-subgraph search.
 """
 
 from __future__ import annotations
@@ -128,26 +132,57 @@ def connected_subsets(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
 
 CLASS_BUDGET = 100_000  # connected subsets a class enumeration may visit
 
+_GroupKey = tuple[int, tuple[int, ...]]  # (induced edge count, sorted induced degrees)
 
-def enumerate_connected_subgraph_classes(cg: Graph, k: int) -> list[SubgraphClass] | None:
-    """One entry per isomorphism class of connected induced k-subgraphs.
+
+def _subset_groups(cg: Graph, k: int) -> dict[_GroupKey, list[tuple[int, ...]]] | None:
+    """Connected k-subsets grouped by an isomorphism invariant, or ``None``.
 
     ``None`` when ``cg`` has more than ``CLASS_BUDGET`` connected k-subsets:
-    they are counted before any is classed. The representative is the first
-    subset of its class in ``connected_subsets`` order, which need not be the
-    smallest: on the path 2-0-3-1 at k = 3 it is ``(0, 2, 3)``, not
-    ``(0, 1, 3)``. Entries are sorted by representative.
+    they are counted before any is keyed or classed, so an instance over the
+    budget costs only the count. The key is the induced edge count and
+    sorted induced degree sequence, read off adjacency bitmasks without
+    building a graph. Isomorphic subsets share a key, so each class lies in
+    one group, and a group lists its subsets in ``connected_subsets`` order.
     """
     subsets = []
     for subset in connected_subsets(cg, k):
         subsets.append(subset)
         if len(subsets) > CLASS_BUDGET:
             return None
+    adj = [sum(1 << w for w in a) for a in cg.adjacency]
+    groups: dict[_GroupKey, list[tuple[int, ...]]] = {}
+    for subset in subsets:
+        mask = sum(1 << v for v in subset)
+        degrees = tuple(sorted((adj[v] & mask).bit_count() for v in subset))
+        groups.setdefault((sum(degrees) // 2, degrees), []).append(subset)
+    return groups
+
+
+def _group_classes(cg: Graph, subsets: list[tuple[int, ...]]) -> list[SubgraphClass]:
+    """The classes of one group, each represented by its first subset."""
     classes: dict[tuple[int, int], SubgraphClass] = {}
     for subset in subsets:
         sub = induced_subgraph(cg, subset)
         classes.setdefault(canonical_form(sub), SubgraphClass(subset, sub))
-    return sorted(classes.values(), key=lambda c: c.representative_nodes)
+    return list(classes.values())
+
+
+def enumerate_connected_subgraph_classes(cg: Graph, k: int) -> list[SubgraphClass] | None:
+    """One entry per isomorphism class of connected induced k-subgraphs.
+
+    ``None`` when ``cg`` has more than ``CLASS_BUDGET`` connected k-subsets:
+    they are counted before any is classed. Classing runs group by group
+    (see :func:`_subset_groups`), and every group is classed. The
+    representative is the first subset of its class in ``connected_subsets``
+    order, which need not be the smallest: on the path 2-0-3-1 at k = 3 it is
+    ``(0, 2, 3)``, not ``(0, 1, 3)``. Entries are sorted by representative.
+    """
+    groups = _subset_groups(cg, k)
+    if groups is None:
+        return None
+    classes = [c for subsets in groups.values() for c in _group_classes(cg, subsets)]
+    return sorted(classes, key=lambda c: c.representative_nodes)
 
 
 def vf2_embed(pattern: Graph, host: Graph) -> tuple[int, ...] | None:
@@ -155,19 +190,34 @@ def vf2_embed(pattern: Graph, host: Graph) -> tuple[int, ...] | None:
 
     Non-induced monomorphism: extra host edges among image vertices are
     permitted. Deterministic search order: pattern vertices by descending
-    degree (then index), host candidates by ascending index.
+    degree (then index), host candidates by ascending index. A vertex with
+    a mapped neighbour draws its candidates from that neighbour's image's
+    sorted adjacency, which lists the same feasible candidates in the same
+    order. The search keeps an explicit stack of candidate iterators, one
+    per placed vertex, so its depth is not bounded by Python's recursion
+    limit.
     """
     if pattern.n > host.n:
         return None
+    if pattern.n == 0:
+        return ()
     order = sorted(range(pattern.n), key=lambda v: (-pattern.degrees[v], v))
     mapping = [-1] * pattern.n
     used = [False] * host.n
 
-    def extend(idx: int) -> bool:
-        if idx == pattern.n:
-            return True
-        pv = order[idx]
-        for hv in range(host.n):
+    def candidates(pv: int):
+        for pw in pattern.adjacency[pv]:
+            if mapping[pw] >= 0:
+                return iter(host.adjacency[mapping[pw]])
+        return iter(range(host.n))
+
+    stack = [candidates(order[0])]
+    while stack:
+        pv = order[len(stack) - 1]
+        if mapping[pv] >= 0:  # back from a dead end below: free this choice
+            used[mapping[pv]] = False
+            mapping[pv] = -1
+        for hv in stack[-1]:
             if used[hv] or host.degrees[hv] < pattern.degrees[pv]:
                 continue
             if any(
@@ -177,22 +227,48 @@ def vf2_embed(pattern: Graph, host: Graph) -> tuple[int, ...] | None:
                 continue
             mapping[pv] = hv
             used[hv] = True
-            if extend(idx + 1):
-                return True
-            mapping[pv] = -1
-            used[hv] = False
-        return False
+            break
+        else:
+            stack.pop()
+            continue
+        if len(stack) == pattern.n:
+            return tuple(mapping)
+        stack.append(candidates(order[len(stack)]))
+    return None
 
-    return tuple(mapping) if extend(0) else None
+
+def connected_embedding(pattern: Graph, host: Graph) -> tuple[int, ...] | None:
+    """:func:`vf2_embed`'s map if its image induces a connected host subgraph.
+
+    Such a placement leaves no interaction blocked, so it needs no swap.
+    """
+    embedding = vf2_embed(pattern, host)
+    if embedding is None or not is_connected(induced_subgraph(host, sorted(embedding))):
+        return None
+    return embedding
 
 
-def graph_edit_distance(g: Graph, h: Graph) -> GedResult:
+def degree_floor(degrees_g: Sequence[int], degrees_h: Sequence[int]) -> int:
+    """Admissible GED floor from two equal-length sorted degree sequences.
+
+    Half their L1 distance, rounded up: one edge edit changes two degrees by
+    1, and pairing sorted sequences minimises the L1 distance over all
+    bijections. It is at least the edge-count difference.
+    """
+    return -(-sum(abs(a - b) for a, b in zip(degrees_g, degrees_h)) // 2)
+
+
+def graph_edit_distance(g: Graph, h: Graph, cutoff: int | None = None) -> GedResult | None:
     """Exact minimum edge-edit cost over vertex bijections (equal sizes).
 
     Depth-first branch and bound in lexicographic bijection order with an
     admissible remaining-edge-count bound, so the returned bijection is
     the lexicographically smallest optimal one. Edge insertion and
     deletion both cost 1; vertex operations are not modeled.
+
+    ``cutoff`` is an incumbent cost: the search keeps only bijections that
+    cost less. It returns ``None`` when none does, and otherwise the same
+    result as without a cutoff.
     """
     if g.n != h.n:
         raise ValidationError(f"size mismatch: {g.n} vs {h.n}")
@@ -201,7 +277,9 @@ def graph_edit_distance(g: Graph, h: Graph) -> GedResult:
     # with it keeps the first-found-optimum tie-break intact under pruning.
     identity = tuple(range(n))
     best_cost = _bijection_cost(g, h, identity)
-    best_bij = identity
+    best_bij: tuple[int, ...] | None = identity
+    if cutoff is not None and cutoff <= best_cost:
+        best_cost, best_bij = cutoff, None
 
     # g edges with at least one endpoint still unassigned after prefix v
     g_suffix_edges = [sum(1 for (a, b) in g.edges if a >= v or b >= v) for v in range(n + 1)]
@@ -241,7 +319,7 @@ def graph_edit_distance(g: Graph, h: Graph) -> GedResult:
             inverse[x] = -1
 
     dfs(0, 0, 0)
-    return GedResult(best_cost, best_bij)
+    return None if best_bij is None else GedResult(best_cost, best_bij)
 
 
 def _bijection_cost(g: Graph, h: Graph, bijection: Sequence[int]) -> int:
@@ -311,6 +389,14 @@ def assign_qubits(ig: InteractionGraph, cg: Graph) -> AssignmentResult:
     interaction graphs and enumerations exceeding ``CLASS_BUDGET`` subsets
     use the greedy dense shortcut instead; its reported GED is exact for
     complete IGs and an upper bound otherwise.
+
+    The search classes only the groups of :func:`_subset_groups` that can
+    still win. Each group gets the key ``(floor, -edges, least subset)``,
+    with ``floor`` the :func:`degree_floor` of the IG and the group. No class
+    in the group has a smaller ``(GED, -edges, representative)``, so groups
+    are visited by key and the search stops at the first key above the best
+    class so far. Each GED search gets the cutoff below which its class
+    would win: the best distance, plus 1 when the class wins a distance tie.
     """
     k = ig.graph.n
     if k > cg.n:
@@ -320,29 +406,43 @@ def assign_qubits(ig: InteractionGraph, cg: Graph) -> AssignmentResult:
     if not is_connected(cg):
         raise ValidationError("coupling graph must be connected")
 
-    embedding = vf2_embed(ig.graph, cg)
+    embedding = connected_embedding(ig.graph, cg)
     if embedding is not None:
-        if is_connected(induced_subgraph(cg, sorted(embedding))):
-            return AssignmentResult(Assignment(embedding, cg), 0, "vf2")
-        # Disconnected image (possible for disconnected IGs): fall through
-        # to the similarity search, whose hosts are connected by construction.
+        return AssignmentResult(Assignment(embedding, cg), 0, "vf2")
+    # A disconnected image (possible for disconnected IGs) falls through to
+    # the similarity search, whose hosts are connected by construction.
 
     dense = ig.graph.is_complete() and k >= 2
-    classes = None if dense else enumerate_connected_subgraph_classes(cg, k)
-    if classes is None:
+    groups = None if dense else _subset_groups(cg, k)
+    if groups is None:
         nodes = most_connected_subgraph(cg, k)
         sub = induced_subgraph(cg, nodes)
         bij = _greedy_bijection(ig.graph, sub)
         assignment = Assignment(tuple(nodes[b] for b in bij), cg)
         return AssignmentResult(assignment, _bijection_cost(ig.graph, sub, bij), "dense")
 
-    ged, best = min(
-        ((graph_edit_distance(ig.graph, c.graph), c) for c in classes),
-        key=lambda rc: (rc[0].distance, -rc[1].graph.num_edges(), rc[1].representative_nodes),
+    ig_degrees = sorted(ig.graph.degrees)
+    ranked = sorted(
+        (degree_floor(ig_degrees, key[1]), -key[0], min(subsets), key)
+        for key, subsets in groups.items()
     )
-    nodes = best.representative_nodes
-    assignment = Assignment(tuple(nodes[b] for b in ged.best_bijection), cg)
-    return AssignmentResult(assignment, ged.distance, "similarity")
+    best_key = None  # (GED, -edges, representative) of the best class so far
+    for floor, neg_edges, least, key in ranked:
+        if best_key is not None and (floor, neg_edges, least) > best_key:
+            break  # neither this group nor a later one can win
+        for cls in _group_classes(cg, groups[key]):
+            rep = cls.representative_nodes
+            cutoff = None
+            if best_key is not None:
+                cutoff = best_key[0] + ((neg_edges, rep) < best_key[1:])
+                if cutoff <= floor:
+                    continue
+            ged = graph_edit_distance(ig.graph, cls.graph, cutoff)
+            if ged is not None:  # below the cutoff, so this class wins
+                best_key, best_ged = (ged.distance, neg_edges, rep), ged
+    distance, _, nodes = best_key
+    assignment = Assignment(tuple(nodes[b] for b in best_ged.best_bijection), cg)
+    return AssignmentResult(assignment, distance, "similarity")
 
 
 def max_swap_bound(ig: InteractionGraph, a: Assignment) -> int:

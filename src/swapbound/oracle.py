@@ -37,6 +37,7 @@ from collections import Counter
 from . import assignment
 from .assignment import (
     Assignment,
+    connected_embedding,
     enumerate_connected_subgraph_classes,
     exchanges,
     pending_interactions,
@@ -165,13 +166,19 @@ def brute_force_over_assignments(ig: Graph, cg: Graph) -> tuple[int, Assignment]
 
     Minimizes over all connected-subgraph class representatives and all
     initial bijections onto each; intended for validation at small sizes.
-    Raises :class:`SizeGuardError` past ``CLASS_BUDGET`` connected subsets.
+    Past ``CLASS_BUDGET`` connected subsets it answers 0 with the placement
+    of :func:`~swapbound.assignment.connected_embedding` if there is one,
+    since no placement needs fewer swaps, and raises
+    :class:`SizeGuardError` otherwise.
     """
     check_guard(ig.n)
     if not is_connected(cg):
         raise ValidationError("coupling graph must be connected")
     classes = enumerate_connected_subgraph_classes(cg, ig.n)
     if classes is None:
+        embedding = connected_embedding(ig, cg)
+        if embedding is not None:
+            return 0, Assignment(embedding, cg)
         budget = assignment.CLASS_BUDGET
         raise SizeGuardError(f"class enumeration is guarded at {budget} connected {ig.n}-subsets")
     remaining0 = frozenset(ig.edges)

@@ -7,6 +7,7 @@ from swapbound.assignment import (
     Assignment,
     assign_qubits,
     connected_subsets,
+    degree_floor,
     enumerate_connected_subgraph_classes,
     exchanges,
     graph_edit_distance,
@@ -37,6 +38,11 @@ def ig_of(graph: Graph, repeats: dict | None = None):
     for e in graph.edge_list:
         gates.extend([e] * (repeats or {}).get(e, 1))
     return interaction_graph(Circuit(graph.n, tuple(gates)))
+
+
+def random_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
+    """Independent edges: possibly disconnected, possibly empty."""
+    return graph_from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
 
 
 # --- connected subset enumeration ----------------------------------------
@@ -189,6 +195,31 @@ def test_vf2_finds_planted_embedding_always():
         assert vf2_embed(pattern, host) is not None
 
 
+def test_vf2_returns_the_first_map_in_its_search_order():
+    # the search places pattern vertices by (-degree, index) and tries host
+    # vertices in ascending order, so it returns the lexicographically first
+    # image sequence in that vertex order
+    rng = np.random.default_rng(109)
+    for _ in range(150):
+        host = random_connected_graph(rng, int(rng.integers(3, 8)), 0.4)
+        k = int(rng.integers(1, min(host.n, 5) + 1))
+        pattern = random_graph(rng, k, 0.5)
+        order = sorted(range(k), key=lambda v: (-pattern.degrees[v], v))
+        expected = None
+        for images in itertools.permutations(range(host.n), k):
+            mapping = [0] * k
+            for v, x in zip(order, images):
+                mapping[v] = x
+            if all(host.has_edge(mapping[u], mapping[v]) for u, v in pattern.edges):
+                expected = tuple(mapping)
+                break
+        assert vf2_embed(pattern, host) == expected
+
+
+def test_vf2_embeds_a_long_path_without_recursing_per_vertex():
+    assert vf2_embed(path_graph(3000), path_graph(3001)) == tuple(range(3000))
+
+
 # --- graph edit distance ----------------------------------------------------
 
 def test_ged_identical_is_zero():
@@ -259,6 +290,51 @@ def test_ged_size_mismatch():
 def test_ged_of_empty_graphs_is_zero():
     result = graph_edit_distance(Graph(0), Graph(0))
     assert (result.distance, result.best_bijection) == (0, ())
+
+
+def test_ged_cutoff_keeps_the_result_above_the_distance_and_is_none_at_or_below():
+    rng = np.random.default_rng(97)
+    for _ in range(80):
+        n = int(rng.integers(1, 7))
+        g = random_graph(rng, n, float(rng.uniform(0.1, 0.8)))
+        h = random_connected_graph(rng, n, 0.3)
+        full = graph_edit_distance(g, h)
+        for cutoff in range(full.distance + 4):
+            expected = full if cutoff > full.distance else None
+            assert graph_edit_distance(g, h, cutoff) == expected
+
+
+def test_degree_floor_is_admissible():
+    rng = np.random.default_rng(101)
+    for _ in range(200):
+        n = int(rng.integers(1, 7))
+        g = random_graph(rng, n, float(rng.uniform(0.1, 0.9)))
+        h = random_graph(rng, n, float(rng.uniform(0.1, 0.9)))
+        floor = degree_floor(sorted(g.degrees), sorted(h.degrees))
+        assert abs(g.num_edges() - h.num_edges()) <= floor <= graph_edit_distance(g, h).distance
+
+
+def test_ged_matches_networkx():
+    nx = pytest.importorskip("networkx")
+
+    def to_nx(g: Graph):
+        x = nx.Graph()
+        x.add_nodes_from(range(g.n))
+        x.add_edges_from(g.edges)
+        return x
+
+    rng = np.random.default_rng(103)
+    for n in (2, 3, 4, 5, 6, 6, 7, 7):
+        for _ in range(3):
+            g = random_graph(rng, n, 0.4)
+            h = random_connected_graph(rng, n, 0.3)
+            # a vertex deletion and insertion cost more than any edge edits,
+            # so networkx also minimises over vertex bijections alone
+            vertex_cost = lambda attrs: n * n
+            expected = nx.graph_edit_distance(
+                to_nx(g), to_nx(h), node_del_cost=vertex_cost, node_ins_cost=vertex_cost
+            )
+            assert graph_edit_distance(g, h).distance == expected
 
 
 # --- assign_qubits -----------------------------------------------------------
@@ -336,6 +412,53 @@ def test_assign_disconnected_ig_still_places(tshape7):
     ig = interaction_graph(Circuit(4, ((0, 1), (2, 3))))
     res = assign_qubits(ig, tshape7)
     assert is_connected(res.assignment.cg_subgraph)
+
+
+def exhaustive_assignment(ig_graph: Graph, cg: Graph) -> tuple[tuple[int, ...], int]:
+    """``(ig_to_cg, ged)`` of the class with least ``(GED, -edges, representative)``."""
+    best = None
+    for c in enumerate_connected_subgraph_classes(cg, ig_graph.n):
+        result = graph_edit_distance(ig_graph, c.graph)
+        key = (result.distance, -c.graph.num_edges(), c.representative_nodes)
+        if best is None or key < best[0]:
+            best = (key, result)
+    (distance, _, nodes), result = best
+    return tuple(nodes[b] for b in result.best_bijection), distance
+
+
+def test_grouped_similarity_search_picks_the_exhaustive_class():
+    rng = np.random.default_rng(107)
+    checked = disconnected = 0
+    for _ in range(300):
+        cg = random_connected_graph(rng, int(rng.integers(4, 10)), float(rng.uniform(0.05, 0.4)))
+        k = int(rng.integers(2, min(cg.n, 6) + 1))
+        pattern = random_graph(rng, k, float(rng.uniform(0.2, 0.8)))
+        res = assign_qubits(ig_of(pattern), cg)
+        if res.method != "similarity":
+            continue
+        checked += 1
+        disconnected += not is_connected(pattern)
+        assert (res.assignment.ig_to_cg, res.ged) == exhaustive_assignment(pattern, cg)
+    assert checked >= 80 and disconnected >= 25
+
+
+def ring_plus_chords(k: int) -> Graph:
+    """A k-ring plus k // 2 chords drawn by numpy seed 0."""
+    rng = np.random.default_rng(0)
+    edges = {tuple(sorted((i, (i + 1) % k))) for i in range(k)}
+    while len(edges) < k + k // 2:
+        edges.add(tuple(sorted(int(v) for v in rng.choice(k, 2, replace=False))))
+    return graph_from_edges(k, edges)
+
+
+def test_assign_ring_plus_chords_k9_on_grid():
+    # 2,032 connected 9-subsets in 92 classes; the degree floor leaves all
+    # but 100 subsets unclassed, and 6 of the classes get a GED search
+    res = assign_qubits(ig_of(ring_plus_chords(9)), grid_graph(4, 4))
+    a = res.assignment
+    assert (res.method, res.ged) == ("similarity", 2)
+    assert a.cg_subgraph_nodes == (0, 1, 2, 4, 5, 6, 7, 8, 9)
+    assert a.ig_to_cg == (9, 8, 4, 0, 1, 2, 6, 7, 5)
 
 
 # --- most connected subgraph --------------------------------------------------

@@ -182,6 +182,44 @@ def test_oracle_all_assignments_past_the_class_budget_exit_three(capsys, monkeyp
     assert run_cli(capsys, "oracle", *pair)[0] == 0
 
 
+def test_oracle_all_assignments_past_the_class_budget_answers_a_zero_swap_embedding(
+    tmp_path, capsys
+):
+    # an 8-ring has over 100,000 connected 8-subsets of a 10x10 grid to class,
+    # but it embeds, and no placement needs fewer than 0 swaps
+    circuit = {"name": "ring8", "qubits": 8, "gates": [[i, (i + 1) % 8] for i in range(8)]}
+    grid = [[r * 10 + c, r * 10 + c + 1] for r in range(10) for c in range(9)]
+    grid += [[r * 10 + c, r * 10 + c + 10] for r in range(9) for c in range(10)]
+    device = {"name": "grid10x10", "num_qubits": 100, "edges": grid}
+    cpath, dpath = tmp_path / "ring8.json", tmp_path / "grid10x10.json"
+    cpath.write_text(json.dumps(circuit))
+    dpath.write_text(json.dumps(device))
+    code, out, err = run_cli(
+        capsys, "oracle", "--circuit", str(cpath), "--device", str(dpath), "--all-assignments"
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "circuit": "ring8",
+        "device": "grid10x10",
+        "min_swaps": 0,
+        "ig_to_cg": [0, 1, 2, 3, 13, 12, 11, 10],
+        "scope": "all-assignments",
+    }
+
+
+def test_assign_embeds_a_thousand_qubit_chain(tmp_path, capsys):
+    circuit = {"name": "chain1100", "qubits": 1100, "gates": [[i, i + 1] for i in range(1099)]}
+    device = {"name": "line1200", "num_qubits": 1200, "edges": [[i, i + 1] for i in range(1199)]}
+    cpath, dpath = tmp_path / "chain1100.json", tmp_path / "line1200.json"
+    cpath.write_text(json.dumps(circuit))
+    dpath.write_text(json.dumps(device))
+    code, out, err = run_cli(capsys, "assign", "--circuit", str(cpath), "--device", str(dpath))
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["method"], doc["ged"]) == ("vf2", 0)
+    assert doc["ig_to_cg"] == list(range(1100))
+
+
 @pytest.mark.parametrize(
     "extra, scope",
     [((), "pipeline-assignment"), (("--all-assignments",), "all-assignments")],

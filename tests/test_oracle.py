@@ -100,11 +100,17 @@ def test_over_assignments_rejects_a_disconnected_coupling_graph(cg):
         brute_force_over_assignments(ig, cg)
 
 
-def test_over_assignments_past_the_class_budget_raises_before_any_search(tshape7, monkeypatch):
+def test_over_assignments_past_the_class_budget_raises_before_any_search(
+    tshape7, paw4, monkeypatch
+):
     monkeypatch.setattr("swapbound.assignment.CLASS_BUDGET", 2)
     monkeypatch.setattr("swapbound.oracle._min_swaps", lambda *args: pytest.fail("searched"))
+    # the paw's triangle has no image in the tree, so no placement is free
     with pytest.raises(SizeGuardError, match="guarded at 2 connected 4-subsets"):
-        brute_force_over_assignments(star_graph(4), tshape7)
+        brute_force_over_assignments(paw4, tshape7)
+    # the claw embeds on the hub: 0 swaps, which no placement beats
+    count, a = brute_force_over_assignments(star_graph(4), tshape7)
+    assert (count, a.ig_to_cg) == (0, (1, 0, 2, 3))
 
 
 def test_size_guard():
