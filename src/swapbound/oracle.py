@@ -6,26 +6,31 @@ along subgraph edges cost one each, and gate ordering is ignored. States
 are kept canonical by closing all executable interactions before
 branching, which makes deduplication sound.
 
-A state is one int, ``(placement << m) | pending``. Bit ``b`` of
-``pending`` stands for the b-th of the ``m`` sorted interactions. Each
-placement (IG vertex -> subgraph label) is interned once, together with
-the mask of interactions it leaves blocked, their gaps ``d_e - 1``
-(``d_e``: subgraph distance of the endpoints) and its successor per
-subgraph edge, so closing a state is one ``&``.
+A state is the image of the pending interactions on the subgraph, the
+placement dropped: a ``k x k`` bit matrix in one int, bit ``x*k + y`` set
+when a pending interaction sits on subgraph nodes ``x`` and ``y``. Equal
+images have the same future (swaps, closures, heuristic), so they are one
+state. A swap across subgraph edge ``(x, y)`` is the transposition
+``(x y)``: two delta-swaps, rows then columns. Closing is one ``&`` with
+the pairs that are not subgraph edges, and the routing is done when the
+image is 0. Start images come from ``assignment.pending_interactions``.
 
 The heuristic (``_SwapFloor``) is the largest of three counts over the
-pending interactions: the largest gap; the gap sum over the two largest
-interaction-graph degrees (a swap moves two tokens one hop); the pending
-count over ``max(deg x + deg y - 2)`` over subgraph edges (the most pairs
-a swap makes newly adjacent). Each drops by at most 1 per swap, so it is
+pending interactions: the largest gap ``d - 1`` (``d``: subgraph distance
+of the endpoints); the gap sum over the two largest interaction-graph
+degrees (a swap moves two tokens one hop); the pending count over
+``max(deg x + deg y - 2)`` over subgraph edges (the most pairs a swap
+makes newly adjacent). Gap masks are built once per subgraph, so each
+count is read off the image. Each drops by at most 1 per swap, so it is
 consistent, and it is at least 1 while anything is pending. The heap key
-``(depth + h, start index, -depth, state)`` makes this A* on
+``(depth + h, start index, -depth, image)`` makes this A* on
 lexicographic ``(swaps, start index)`` costs: it returns the smallest
 optimal start index, as the breadth-first search over the starts in order
 did. A popped non-goal state has the least key and ``h == 1``, so a goal
-is accepted when generated. K7 on a 7-ring (9 swaps): 2,648 expansions
-and 13,977 labels, against 212,950 breadth-first states. K8 on an 8-ring
-(13 swaps): 117,404 expansions, about 3 s and 135 MiB on a 2-core Xeon.
+is accepted when generated. On a 2-core Xeon, from the identity placement:
+K7 on a 7-ring (9 swaps) takes 1,829 expansions and 5,272 labels; K8 on an
+8-ring (13 swaps) 57,169 expansions, about 1 s and 35 MiB traced; K8 on an
+8-line (21 swaps) 111,330 expansions, about 1.2 s and 14 MiB traced.
 """
 
 from __future__ import annotations
@@ -33,13 +38,13 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import Counter
+from collections.abc import Collection
 
 from . import assignment
 from .assignment import (
     Assignment,
     connected_embedding,
     enumerate_connected_subgraph_classes,
-    exchanges,
     pending_interactions,
 )
 from .errors import SizeGuardError, ValidationError
@@ -60,97 +65,86 @@ def check_guard(k: int) -> None:
 
 
 class _SwapFloor:
-    """The A* heuristic: ``floor(pending, floor.layers(pos))`` swaps at least remain."""
+    """Pending images on one connected subgraph: starts, swaps and the heuristic."""
 
-    def __init__(self, edges: list[Edge], sub: Graph):
+    def __init__(self, edges: Collection[Edge], sub: Graph):
         self.edges = edges
-        self.dist = [bfs_distances(sub, v) for v in range(sub.n)]
-        ig_degrees = sorted(Counter(v for e in edges for v in e).values())
-        self.gap_div = max(1, sum(ig_degrees[-2:]))
-        deg = sub.degrees
-        self.pair_div = max([1] + [deg[x] + deg[y] - 2 for x, y in sub.edge_list])
-
-    def layers(self, pos: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-        """``(gap, mask)`` per gap >= 1, largest first: the blocked interactions."""
+        self.sub_edges = sub.edges
+        k = self.k = sub.n
+        row, col = (1 << k) - 1, sum(1 << i * k for i in range(k))
+        # A swap across (x, y) is the transposition (x y): swap rows, then columns.
+        self.moves = [((y - x) * k, row << x * k, y - x, col << x) for x, y in sub.edge_list]
         masks: dict[int, int] = {}
-        for b, (u, v) in enumerate(self.edges):
-            gap = self.dist[pos[u]][pos[v]] - 1
-            if gap > 0:
-                masks[gap] = masks.get(gap, 0) | 1 << b
-        return tuple(sorted(masks.items(), reverse=True))
+        for x in range(k):
+            for y, d in enumerate(bfs_distances(sub, x)):
+                if d > 1:
+                    masks[d - 1] = masks.get(d - 1, 0) | (1 << x * k + y)
+        self.gaps = sorted(masks.items(), reverse=True)
+        self.open = sum(masks.values())  # the pairs that are not subgraph edges
+        # Each interaction is two bits, so the divisors are doubled.
+        ig_degrees = sorted(Counter(v for e in edges for v in e).values())
+        self.gap_div = 2 * max(1, sum(ig_degrees[-2:]))
+        deg = sub.degrees
+        self.pair_div = 2 * max([1] + [deg[x] + deg[y] - 2 for x, y in sub.edge_list])
 
-    def __call__(self, pending: int, layers: tuple[tuple[int, int], ...]) -> int:
+    def image(self, pos: tuple[int, ...]) -> int:
+        """The closed image of ``edges`` placed by ``pos`` (IG vertex -> subgraph label)."""
+        k = self.k
+        blocked = pending_interactions(self.edges, pos, self.sub_edges)
+        return sum((1 << pos[u] * k + pos[v]) | (1 << pos[v] * k + pos[u]) for u, v in blocked)
+
+    def successors(self, image: int) -> list[int]:
+        """The closed image after a swap across each subgraph edge, in ``edge_list`` order."""
+        out = []
+        for rs, rm, cs, cm in self.moves:
+            t = ((image >> rs) ^ image) & rm
+            image2 = image ^ t ^ (t << rs)
+            t = ((image2 >> cs) ^ image2) & cm
+            out.append((image2 ^ t ^ (t << cs)) & self.open)
+        return out
+
+    def __call__(self, image: int) -> int:
+        """At least this many swaps remain."""
         top = total = 0
-        for gap, mask in layers:
-            hit = pending & mask
+        for gap, mask in self.gaps:
+            hit = image & mask
             if hit:
                 top = top or gap
                 total += gap * hit.bit_count()
-        return max(top, -(-total // self.gap_div), -(-pending.bit_count() // self.pair_div))
+        return max(top, -(-total // self.gap_div), -(-image.bit_count() // self.pair_div))
 
 
 def _min_swaps(
     starts: list[tuple[int, ...]], remaining0: frozenset[Edge], sub: Graph
 ) -> tuple[int, tuple[int, ...]]:
-    """A* over int states ``(placement << m) | pending``; returns (swaps, best start)."""
-    edges = sorted(remaining0)
-    m = len(edges)
-    sub_edges = sub.edges
-    floor = _SwapFloor(edges, sub)
-    placements: list[tuple[int, ...]] = []
-    index: dict[tuple[int, ...], int] = {}
-    blocked: list[int] = []
-    layers: list[tuple[tuple[int, int], ...]] = []
-    successors: list[list[int] | None] = []
-
-    def intern(pos: tuple[int, ...]) -> int:
-        j = index.get(pos)
-        if j is None:
-            j = index[pos] = len(placements)
-            placements.append(pos)
-            still = pending_interactions(edges, pos, sub_edges)
-            blocked.append(sum(1 << b for b, e in enumerate(edges) if e in still))
-            layers.append(floor.layers(pos))
-            successors.append(None)
-        return j
-
-    def expand(j: int) -> list[int]:
-        successors[j] = [intern(p) for p in exchanges(placements[j], sub)]
-        return successors[j]
-
-    full = (1 << m) - 1
+    """A* over pending images; returns (swaps, best start)."""
+    floor = _SwapFloor(remaining0, sub)
     heap: list[tuple[int, int, int, int]] = []
-    # Best label per state, (depth, start index) packed as one int.
+    # Best label per image, (depth, start index) packed as one int.
     n = len(starts)
     label: dict[int, int] = {}
     for idx, pos in enumerate(starts):
-        j = intern(pos)
-        closed = blocked[j]
-        if not closed:
+        image = floor.image(pos)
+        if not image:
             return 0, starts[idx]
-        state = (j << m) | closed
-        if state not in label:
-            label[state] = idx
-            heap.append((floor(closed, layers[j]), idx, 0, state))
+        if image not in label:
+            label[image] = idx
+            heap.append((floor(image), idx, 0, image))
     heapq.heapify(heap)
 
     while heap:
-        _, idx, neg_depth, state = heapq.heappop(heap)
+        _, idx, neg_depth, image = heapq.heappop(heap)
         depth = -neg_depth
-        if label[state] != depth * n + idx:
+        if label[image] != depth * n + idx:
             continue
-        remaining = state & full
-        j = state >> m
         depth += 1
         best = depth * n + idx
-        for nj in successors[j] or expand(j):
-            closed = remaining & blocked[nj]
+        for closed in floor.successors(image):
             if not closed:
                 return depth, starts[idx]
-            nstate = (nj << m) | closed
-            if best < label.get(nstate, best + 1):
-                label[nstate] = best
-                heapq.heappush(heap, (depth + floor(closed, layers[nj]), idx, -depth, nstate))
+            if best < label.get(closed, best + 1):
+                label[closed] = best
+                heapq.heappush(heap, (depth + floor(closed), idx, -depth, closed))
     raise AssertionError("swap search exhausted without emptying the interaction set")
 
 

@@ -84,8 +84,7 @@ def test_acceptance_1_sandwich_property():
         oracle = brute_force_min_swaps(ig.graph, placed.assignment)
         m_max = max_swap_bound(ig, placed.assignment)
         floor = _SwapFloor(sorted(ig.graph.edges), placed.assignment.cg_subgraph)
-        layers = floor.layers(placed.assignment.positions())
-        lower = floor(sum(mask for _, mask in layers), layers)
+        lower = floor(floor.image(placed.assignment.positions()))
         instances += 1
         tight += sweep.m_star == oracle
         if not (lower <= oracle <= sweep.m_star and oracle <= m_max):

@@ -4,7 +4,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from swapbound.assignment import Assignment, assign_qubits, pending_interactions
+from swapbound.assignment import Assignment, assign_qubits, exchanges, pending_interactions
 from swapbound.circuits import Circuit, interaction_graph
 from swapbound.errors import SizeGuardError, ValidationError
 from swapbound.graphs import Edge, Graph, normalize_edge
@@ -232,6 +232,11 @@ def test_int_state_bfs_matches_frozenset_reference():
                 )
 
 
+def image_of(interactions, pos: tuple[int, ...], k: int) -> int:
+    """The image layout, written out: bits ``x*k + y`` and ``y*k + x`` per interaction."""
+    return sum((1 << pos[u] * k + pos[v]) | (1 << pos[v] * k + pos[u]) for u, v in interactions)
+
+
 def test_swap_floor_is_admissible_consistent_and_positive():
     # The A* heuristic: never above the reference optimum at a start,
     # drops by at most one per swap along every subgraph edge, and is at
@@ -244,30 +249,45 @@ def test_swap_floor_is_admissible_consistent_and_positive():
             sub = random_connected_graph(rng, k, float(rng.uniform(0.0, 0.5)))
             edges = sorted(ig.edges)
             floor = _SwapFloor(edges, sub)
-
-            def blocked(pos):
-                still = pending_interactions(edges, pos, sub.edges)
-                return sum(1 << b for b, e in enumerate(edges) if e in still)
+            gapped = sum(mask for _, mask in floor.gaps)
 
             for _ in range(3):
                 pos = tuple(int(x) for x in rng.permutation(k))
-                pending = blocked(pos)
-                assert pending == sum(mask for _, mask in floor.layers(pos))
-                start_floor = floor(pending, floor.layers(pos))
+                image = floor.image(pos)
+                blocked = image_of(pending_interactions(edges, pos, sub.edges), pos, k)
+                assert image == image_of(edges, pos, k) & gapped == blocked
+                start_floor = floor(image)
                 count, _ = reference_min_swaps([pos], frozenset(edges), sub)
                 assert start_floor <= count
                 for _ in range(count + 2):
-                    h = floor(pending, floor.layers(pos))
-                    assert (h >= 1) == (pending != 0)
-                    moves = []
-                    for x, y in sub.edge_list:
-                        npos = list(pos)
-                        npos[pos.index(x)], npos[pos.index(y)] = y, x
-                        npos = tuple(npos)
-                        npending = pending & blocked(npos)
-                        assert h <= 1 + floor(npending, floor.layers(npos))
-                        moves.append((npos, npending))
-                    pos, pending = moves[int(rng.integers(0, len(moves)))]
+                    h = floor(image)
+                    assert (h >= 1) == (image != 0)
+                    moves = floor.successors(image)
+                    for nimage in moves:
+                        assert h <= 1 + floor(nimage)
+                    image = moves[int(rng.integers(0, len(moves)))]
+
+
+def test_image_swaps_are_the_routing_model():
+    # The oracle routes images, not placements: a swap across (x, y) is
+    # two delta-swaps of the bit matrix, and closing is one mask. Each
+    # successor is the image of what assignment.exchanges and
+    # assignment.pending_interactions, the descent's routing model, give.
+    rng = np.random.default_rng(127)
+    for k in range(2, 9):
+        for _ in range(10):
+            ig = random_connected_graph(rng, k, float(rng.uniform(0.1, 0.9)))
+            sub = random_connected_graph(rng, k, float(rng.uniform(0.0, 0.5)))
+            pos = tuple(int(x) for x in rng.permutation(k))
+            some = [e for e in ig.edge_list if rng.random() < 0.7]
+            pending = pending_interactions(some, pos, sub.edges)
+            floor = _SwapFloor(sorted(pending), sub)
+            image = floor.image(pos)
+            assert image == image_of(pending, pos, k)
+            assert floor.successors(image) == [
+                image_of(pending_interactions(pending, npos, sub.edges), npos, k)
+                for npos in exchanges(pos, sub)
+            ]
 
 
 @pytest.mark.parametrize(
@@ -291,8 +311,7 @@ def test_swap_floor_terms_are_tight(edges, sub, expected):
     # swap makes at most two pairs newly adjacent.
     floor = _SwapFloor(edges, sub)
     pos = tuple(range(sub.n))
-    layers = floor.layers(pos)
-    start_floor = floor(sum(mask for _, mask in layers), layers)
+    start_floor = floor(floor.image(pos))
     assert start_floor == expected == _min_swaps([pos], frozenset(edges), sub)[0]
 
 
@@ -311,3 +330,11 @@ def test_dense_placement_oracle(k, device, expected):
     placed = assign_qubits(ig, device)
     assert placed.method == "dense"
     assert brute_force_min_swaps(ig.graph, placed.assignment) == expected
+
+
+@pytest.mark.parametrize("k, expected", [(7, 15), (8, 21)], ids=["K7@line7", "K8@line8"])
+def test_complete_graph_on_a_line(k, expected):
+    # The counts the placement-keyed search gave; K8@line8 took over a
+    # minute there, and the image search takes about a second.
+    a = build_assignment(path_graph(k), tuple(range(k)))
+    assert brute_force_min_swaps(complete_graph(k), a) == expected
