@@ -71,7 +71,8 @@ def gibbs_weights(eigenvalues: np.ndarray, beta) -> np.ndarray:
     One beta gives one row of weights and an array of betas one row per
     beta; a stack of spectra, one per row, pairs row ``i`` with ``beta[i]``.
     """
-    shifted = np.exp(-(np.asarray(beta)[..., None] * (eigenvalues - eigenvalues[..., :1])))
+    with np.errstate(over="ignore"):  # a huge beta's inf exponent is the weight 0 it means
+        shifted = np.exp(-(np.asarray(beta)[..., None] * (eigenvalues - eigenvalues[..., :1])))
     total = shifted.sum(axis=-1, keepdims=True)
     if not ((0.0 < total) & (total < math.inf)).all():
         raise NumericalError("partition function is non-finite or zero")

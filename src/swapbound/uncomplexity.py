@@ -39,10 +39,14 @@ the iteration cap ends the route, stalled. Where its runs' moves part, it splits
 
 One driver (``_routes``) advances the routes in lockstep and owns the Gibbs
 states: the subgraph's, once per grid, and a row per run for its pending graph,
-rebuilt by one ``_gibbs`` per round. One gather and one batched ``eigvalsh`` per
-round give every asking run its divergences; numpy treats each row and matrix of
-a stack separately, so batching changes no value. ``beta_sweep`` and a swept
-``compute_bound`` drive the 99-point grid, the fixed-beta calls a one-point grid.
+rebuilt by one ``_gibbs`` per round. A route's runs whose two rows and their
+entropies are the same bytes form a state class; at large beta the weights past
+the ground state underflow and many collapse. One gather and one batched
+``eigvalsh`` per round give every asking class its divergences, from one of its
+runs' rows, and each run of the class that row, so a class never splits a route.
+numpy treats each row and matrix of a stack separately, so neither batching nor
+sharing changes a value. ``beta_sweep`` and a swept ``compute_bound`` drive the
+99-point grid, the fixed-beta calls a one-point grid.
 """
 
 from __future__ import annotations
@@ -141,23 +145,34 @@ def _gibbs(spectra, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _divergences(rho, sigma, ids, placements) -> np.ndarray:
-    """Each asking run's divergences from its ``rho`` to its ``sigma`` relabelled per placement.
+    """Each asking class's divergences from its ``rho`` to its ``sigma`` relabelled per placement.
 
-    ``rho`` and ``sigma`` stack one state per grid point; run ``ids[r]``
-    gives ``placements[r]`` and gets row ``r`` of the result. One gather
+    ``rho`` and ``sigma`` stack one state per grid point; row ``ids[r]`` of
+    both gives ``placements[r]`` and gets row ``r`` of the result. The driver
+    asks once per state class, with the rows of one of its runs. One gather
     builds every mixture ``(rho + sigma[p][:, p]) / 2``, and one batched
     ``eigvalsh`` takes all their spectra.
     """
     (rho_m, s_rho), (sigma_m, s_sigma) = rho, sigma
+    k = sigma_m.shape[-1]
     idx = np.asarray(placements)
-    run = np.asarray(ids)[:, None]  # a run's placements gather from its own states
-    stacked = sigma_m[run[..., None, None], idx[..., None], idx[:, :, None, :]]
-    stacked += rho_m[run]
+    ids = np.asarray(ids)
+    rows = idx + (ids * k)[:, None, None]  # row p_i of its own sigma, among all the stack's
+    stacked = sigma_m.reshape(-1, k)[rows[..., None], idx[..., None, :]]
+    stacked += rho_m[ids, None]
     stacked /= 2.0
     q = np.maximum(np.linalg.eigvalsh(stacked), 0.0)
     terms = q * np.log(np.where(q > 0.0, q, 1.0))  # 0 * log(1) is 0.0
     offset = (s_rho[ids] + s_sigma[ids])[:, None] / 2.0
     return np.maximum(-terms.sum(axis=-1) - offset, 0.0)
+
+
+def _class_ids(states, prefixes) -> list[int]:
+    """An id per row of a ``(matrices, entropies)`` stack, one per distinct prefix, matrix
+    bytes and entropy: rows with one id feed ``_divergences`` the same bytes."""
+    keys = {}
+    return [keys.setdefault((pre, m.tobytes(), e), len(keys))
+            for pre, m, e in zip(prefixes, states[0], states[1].tolist())]
 
 
 def swap_uncomplexity(ig: InteractionGraph, a: Assignment, beta: float) -> tuple[int, AlgoTrace]:
@@ -197,6 +212,8 @@ def _routes(ig: InteractionGraph, a: Assignment, betas: np.ndarray, budget: int)
         raise ValidationError("assignment does not cover the interaction graph")
     sigma = _gibbs([laplacian_spectrum(sub)], betas)
     rho = tuple(map(np.empty_like, sigma))  # row i: the Gibbs state of run i's pending graph
+    sigma_ids = _class_ids(sigma, [None] * len(betas))
+    state_class = [None] * len(betas)  # run i's, from its sigma id and its rho row
     pending = pending_interactions(graph.edges, a.positions(), sub.edges)
     cap = budget + len(pending) * max(len(sub.edge_list), 1)
     routes = [_Route(list(range(len(betas))), a.positions(), pending, budget)]
@@ -229,16 +246,27 @@ def _routes(ig: InteractionGraph, a: Assignment, betas: np.ndarray, budget: int)
             eig = {p: laplacian_spectrum(Graph(graph.n, p)) for p in {r.pending for r in stale}}
             rows = [i for r in stale for i in r.runs]
             spectra = [eig[r.pending] for r in stale for _ in r.runs]
-            rho[0][rows], rho[1][rows] = _gibbs(spectra, betas[rows])
-        placements = np.concatenate([np.repeat([[r.pos] + s], len(r.runs), 0) for r, s in asking])
-        ids = [i for r, _ in asking for i in r.runs]
+            built = _gibbs(spectra, betas[rows])
+            rho[0][rows], rho[1][rows] = built
+            # ids agree within a round, and all the runs of a route are rebuilt in the same one
+            for i, c in zip(rows, _class_ids(built, [sigma_ids[i] for i in rows])):
+                state_class[i] = c
+        # each asking route's classes, each with one of its runs: a divergence row per class
+        classes = [{state_class[run]: run for run in r.runs} for r, _ in asking]
+        ids = [run for c in classes for run in c.values()]
+        candidates = np.array([[r.pos] + s for r, s in asking])
+        placements = np.repeat(candidates, [len(c) for c in classes], axis=0)
         values = iter(_divergences(rho, sigma, ids, placements).tolist())
-        for route, swapped in asking:
+        for (route, swapped), reps in zip(asking, classes):
+            moves = {}  # state class -> ((edge index, forced), (qjsd before, best qjsd))
+            for c in reps:
+                v = next(values)
+                best = min(v[1:])  # the first minimum; NaN forces
+                moves[c] = (v.index(best, 1) - 1, not best < v[0] - EPS_IMP), (v[0], best)
             groups = {}  # (edge index, forced) -> {run: (qjsd before, best qjsd)}
-            for run, v in zip(route.runs, values):
-                best = min(v[1:])
-                key = v.index(best, 1) - 1, not best < v[0] - EPS_IMP  # first minimum; NaN forces
-                groups.setdefault(key, {})[run] = v[0], best
+            for run in route.runs:
+                key, qjsds = moves[state_class[run]]
+                groups.setdefault(key, {})[run] = qjsds
             copies = [replace(route, moves={**route.moves}, log=[*route.log])
                       for _ in range(len(groups) - 1)]  # a split: a memo and log per part
             for child, ((i, forced), qjsds) in zip([route] + copies, groups.items()):

@@ -259,6 +259,20 @@ def test_bound_stall_exit_two(capsys):
     assert doc["u_swap"] == doc["m_swap_max"] == 6
 
 
+def test_huge_finite_beta_stalls_with_nothing_on_stderr(capsys):
+    # beta * (w - w0) overflows to inf at 1e308, and exp(-inf) = 0 is the
+    # weight meant: the stall is reported through the exit code alone
+    code, out, err = run_cli(
+        capsys,
+        "bound",
+        "--circuit", str(FIXTURES / "ring5.json"),
+        "--device", str(FIXTURES / "line5.json"),
+        "--beta", "1e308",
+    )
+    assert (code, err) == (2, "")
+    assert json.loads(out)["stalled"] is True
+
+
 @pytest.mark.parametrize("command", ["bound", "sweep"])
 def test_every_sweep_run_stalled_exit_two(capsys, monkeypatch, command):
     # one ultra-high-temperature grid point, where the run spends its stall

@@ -11,7 +11,7 @@ import pytest
 import swapbound
 from swapbound.errors import ValidationError
 from swapbound.graphs import Graph
-from swapbound.spectral import entropy_curve, laplacian
+from swapbound.spectral import entropy_curve, gibbs_weights, laplacian
 from swapbound.uncomplexity import standard_beta_grid
 
 from conftest import (
@@ -75,6 +75,14 @@ def test_gibbs_large_beta_projects_onto_ground_space():
     ones = np.ones((3, 1)) / math.sqrt(3)
     assert np.allclose(rho.entries, ones @ ones.T, atol=1e-12)
     assert von_neumann_entropy(rho) <= 1e-12
+
+
+def test_gibbs_weights_at_a_huge_finite_beta_are_the_ground_state_quietly():
+    # beta * (w - w0) overflows to inf, which the weights read as exp(-inf) = 0;
+    # under the suite's warnings-as-errors an overflow warning would raise
+    w = np.array([0.0, 1.0, 3.0])
+    assert gibbs_weights(w, 1e308).tolist() == [1.0, 0.0, 0.0]
+    assert gibbs_weights(np.stack([w, w]), np.array([1e308, 1e-5]))[0].tolist() == [1.0, 0.0, 0.0]
 
 
 def test_gibbs_trace_and_psd():

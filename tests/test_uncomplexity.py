@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import operator
 from dataclasses import replace
 from pathlib import Path
 
@@ -369,16 +370,42 @@ def test_sweep_calls_go_through_the_traced_module_names(monkeypatch):
         # run built its own states
         pending_sets = sum(len({pending for pending, _ in run}) for run in asked)
         assert calls["spectra"] < 99 + pending_sets
-        # one matrix per candidate placement of each distinct (pending set,
-        # placement) state a run evaluates, the state's own and one per
-        # subgraph edge; a revisited state reuses the move chosen on its first
-        # visit
+        # one matrix per candidate placement, the state's own and one per
+        # subgraph edge, of each state class an asking route evaluates: its
+        # runs whose sigma and rho rows, with their entropies, are the same
+        # bytes. A revisited state reuses the move chosen on its first visit.
+        classes = _state_classes(ig, a, traces, asked)
         states = sum(len(run) for run in asked)
-        assert calls["matrices"] == states * (1 + len(a.cg_subgraph.edge_list))
+        assert calls["matrices"] == classes * (1 + len(a.cg_subgraph.edge_list))
+        assert classes < states  # a run per state would ask more
         assert (states < iterations) == revisits
         # one batch per lockstep round, and every live run asks once a round,
         # so there are as many rounds as the longest run evaluates states
         assert calls["eigvalsh"] == max(len(run) for run in asked) < states
+
+
+def _state_classes(ig, a, traces, asked) -> int:
+    """Divergence rows the sweep needs: per round, the state classes of each asking route.
+
+    Run ``i`` asks ``asked[i][r]`` in round ``r``, in the route of the runs
+    that made its moves so far. Its class there is the bytes of its subgraph
+    state and of its pending graph's state at its beta, with their entropies,
+    rebuilt here from the replayed pending sets.
+    """
+    betas = np.array(standard_beta_grid())
+    sigma = _gibbs([laplacian_spectrum(a.cg_subgraph)], betas)
+    states = [_states_evaluated(ig, a, t) for t in traces]
+    moves = [_moves(t) for t in traces]
+    classes = set()
+    for r in range(max(map(len, asked))):
+        runs = [i for i, run in enumerate(asked) if r < len(run)]
+        graphs = [Graph(ig.graph.n, asked[i][r][0]) for i in runs]
+        rho = _gibbs([laplacian_spectrum(g) for g in graphs], betas[runs])
+        for j, i in enumerate(runs):
+            route = tuple(moves[i][: states[i].index(asked[i][r])])
+            rows = [(m[x].tobytes(), float(e[x])) for (m, e), x in ((sigma, i), (rho, j))]
+            classes.add((r, route, *rows))
+    return len(classes)
 
 
 def _sweep_traces(monkeypatch):
@@ -439,7 +466,7 @@ def test_lockstep_sweep_is_bit_identical_to_the_plain_loop(monkeypatch):
     sweep = _sweep_traces(monkeypatch)
     cases_seen = [
         "no request", "stalled", "one point", "all stalled", "k >= 7", "routes split",
-        "a split route erases",
+        "a split route erases", "runs share a state",
     ]
     seen = dict.fromkeys(cases_seen, 0)
 
@@ -464,8 +491,14 @@ def test_lockstep_sweep_is_bit_identical_to_the_plain_loop(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr("swapbound.uncomplexity.standard_beta_grid", lambda: betas)
             plain = [swap_uncomplexity(ig, a, b) for b in betas]
+            rows = []  # divergence rows per round: one per state class of an asking route
+            patch.setattr("swapbound.uncomplexity._divergences", _rows_counted(rows))
             outcome, runs, routes = sweep(ig, a)
         assert repr(runs) == repr(plain)
+        # a run asks once a round for each state it evaluates
+        asked = [len(dict.fromkeys(_states_evaluated(ig, a, t))) for _, t in plain]
+        asking = [sum(n > r for n in asked) for r in range(max(asked))]
+        assert len(rows) == len(asking) and all(map(operator.le, rows, asking))
         # the sweep the plain loop gives: first minimum over the runs that did not stall
         per_beta, best = [], None
         for b, (m, trace) in zip(betas, plain):
@@ -484,9 +517,43 @@ def test_lockstep_sweep_is_bit_identical_to_the_plain_loop(monkeypatch):
         seen["routes split"] += len(routes) > 1
         route_traces = [runs[route.runs[0]][1] for route in routes]
         seen["a split route erases"] += len(routes) > 1 and _erases_after_a_split(route_traces)
+        seen["runs share a state"] += rows != asking
 
     check()
     assert all(seen.values()), seen
+
+
+def _rows_counted(rows: list):
+    """``_divergences``, appending the number of rows each call evaluates to ``rows``."""
+    def counted(rho, sigma, ids, placements):
+        rows.append(len(ids))
+        return _divergences(rho, sigma, ids, placements)
+
+    return counted
+
+
+def test_runs_share_a_divergence_row_only_when_their_states_are_the_same_bytes(monkeypatch):
+    # Adjacent small betas give different states, so their runs ask apart even
+    # while they make the same moves. On P4, from beta = 2000 every Gibbs weight
+    # past the ground state underflows, K4's pending graph is a P4 too, and
+    # those runs share one row a round. (From beta = 70 the matrices are
+    # already the same bytes, but the entropies differ until 2000.)
+    rows = []
+    monkeypatch.setattr("swapbound.uncomplexity._divergences", _rows_counted(rows))
+    ig = ig_of(complete_graph(4))
+    a = build_assignment(path_graph(4), tuple(range(4)))
+    betas = np.array([1e-5, 2e-5])
+    routes = _routes(ig, a, betas, max_swap_bound(ig, a))
+    assert [r.runs for r in routes] == [[0, 1]] and rows == [2, 2, 2]
+    rows.clear()
+    grid = np.array(standard_beta_grid())
+    collapsed = grid >= 2000.0
+    matrices, entropies = _gibbs([laplacian_spectrum(a.cg_subgraph)], grid)
+    states = [(m.tobytes(), e) for m, e in zip(matrices, entropies.tolist())]
+    assert len(set(itertools.compress(states, collapsed))) == 1
+    assert len(set(itertools.compress(states, ~collapsed))) == (~collapsed).sum()
+    _routes(ig, a, grid, max_swap_bound(ig, a))
+    assert rows == [99 - collapsed.sum() + 1] * 3
 
 
 def _states_evaluated(ig, a, trace) -> list:
