@@ -412,7 +412,7 @@ def assign_qubits(ig: InteractionGraph, cg: Graph) -> AssignmentResult:
     # A disconnected image (possible for disconnected IGs) falls through to
     # the similarity search, whose hosts are connected by construction.
 
-    dense = ig.graph.is_complete() and k >= 2
+    dense = ig.graph.is_complete()
     groups = None if dense else _subset_groups(cg, k)
     if groups is None:
         nodes = most_connected_subgraph(cg, k)

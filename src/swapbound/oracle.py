@@ -151,6 +151,8 @@ def _min_swaps(
 def brute_force_min_swaps(ig: Graph, a: Assignment) -> int:
     """Optimal swap count for a fixed initial assignment."""
     check_guard(ig.n)
+    if ig.n != a.cg_subgraph.n:
+        raise ValidationError("assignment does not cover the interaction graph")
     count, _ = _min_swaps([a.positions()], frozenset(ig.edges), a.cg_subgraph)
     return count
 

@@ -35,18 +35,18 @@ placement, pending set, stall budget, memo and step log. It evaluates each
 an erasure changes the pending set; a revisit costs a dict lookup and no routing,
 as a kept move erased nothing when made. A revisit is a cycle (the move depends on
 the state alone; the pending set only shrinks), walked until the stall budget or
-the iteration cap ends the route, stalled. Where its runs' moves part, it splits.
+the iteration cap ends the route, stalled. Where its classes' moves part, it splits.
 
 One driver (``_routes``) advances the routes in lockstep and owns the Gibbs
 states: the subgraph's, once per grid, and a row per run for its pending graph,
-rebuilt by one ``_gibbs`` per round. A route's runs whose two rows and their
-entropies are the same bytes form a state class; at large beta the weights past
-the ground state underflow and many collapse. One gather and one batched
-``eigvalsh`` per round give every asking class its divergences, from one of its
-runs' rows, and each run of the class that row, so a class never splits a route.
-numpy treats each row and matrix of a stack separately, so neither batching nor
-sharing changes a value. ``beta_sweep`` and a swept ``compute_bound`` drive the
-99-point grid, the fixed-beta calls a one-point grid.
+rebuilt by one ``_gibbs`` per round. A route is a list of state classes, its runs
+whose two rows and their entropies are the same bytes (at large beta the weights
+past the ground state underflow and many collapse), regrouped when rebuilt. One
+gather and one batched ``eigvalsh`` per round give each class of an asking route
+its divergences, from its first run's rows: a class decides once, and a split
+partitions the classes. numpy treats each row and matrix of a stack separately,
+so neither batching nor sharing changes a value. ``beta_sweep`` and a swept
+``compute_bound`` drive the 99-point grid, the fixed-beta calls a one-point grid.
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ def _divergences(rho, sigma, ids, placements) -> np.ndarray:
 
     ``rho`` and ``sigma`` stack one state per grid point; row ``ids[r]`` of
     both gives ``placements[r]`` and gets row ``r`` of the result. The driver
-    asks once per state class, with the rows of one of its runs. One gather
+    asks once per state class, with the rows of its first run. One gather
     builds every mixture ``(rho + sigma[p][:, p]) / 2``, and one batched
     ``eigvalsh`` takes all their spectra.
     """
@@ -167,14 +167,6 @@ def _divergences(rho, sigma, ids, placements) -> np.ndarray:
     return np.maximum(-terms.sum(axis=-1) - offset, 0.0)
 
 
-def _class_ids(states, prefixes) -> list[int]:
-    """An id per row of a ``(matrices, entropies)`` stack, one per distinct prefix, matrix
-    bytes and entropy: rows with one id feed ``_divergences`` the same bytes."""
-    keys = {}
-    return [keys.setdefault((pre, m.tobytes(), e), len(keys))
-            for pre, m, e in zip(prefixes, states[0], states[1].tolist())]
-
-
 def swap_uncomplexity(ig: InteractionGraph, a: Assignment, beta: float) -> tuple[int, AlgoTrace]:
     """Swap count of the divergence descent at one inverse temperature.
 
@@ -190,18 +182,20 @@ def swap_uncomplexity(ig: InteractionGraph, a: Assignment, beta: float) -> tuple
 @dataclass
 class _Route:
     """Runs that made the same moves so far: one state, memo and step log for all of them."""
-    runs: list  # grid indices
+    classes: list  # state classes: lists of grid indices whose two Gibbs rows are the same bytes
     pos: tuple
     pending: frozenset
     budget: int  # forced swaps left
     m: int = 0
     moves: dict = field(default_factory=dict)  # placement -> (swap, next placement)
-    log: list = field(default_factory=list)  # trace steps; a swap is (edge, forced, {run: qjsds})
+    log: list = field(default_factory=list)  # steps; a swap is (edge, forced, [(class, *qjsds)])
     stalled: bool = False
+    stale: bool = True  # a new pending set: its rows are rebuilt and its classes regrouped
 
     def trace(self, run: int, beta: float) -> AlgoTrace:
-        """Run ``run``'s trace: the log, with the run's own divergences in each swap."""
-        steps = [SwapStep(s[0], *s[2][run], s[1]) if isinstance(s, tuple) else s for s in self.log]
+        """Run ``run``'s trace: the log, with its class's divergences in each swap."""
+        steps = [SwapStep(s[0], *next(q for c, *q in s[2] if run in c), s[1])
+                 if isinstance(s, tuple) else s for s in self.log]
         return AlgoTrace(tuple(steps), beta, self.m, self.stalled)
 
 
@@ -212,11 +206,12 @@ def _routes(ig: InteractionGraph, a: Assignment, betas: np.ndarray, budget: int)
         raise ValidationError("assignment does not cover the interaction graph")
     sigma = _gibbs([laplacian_spectrum(sub)], betas)
     rho = tuple(map(np.empty_like, sigma))  # row i: the Gibbs state of run i's pending graph
-    sigma_ids = _class_ids(sigma, [None] * len(betas))
-    state_class = [None] * len(betas)  # run i's, from its sigma id and its rho row
+    ids = {}  # a sigma row's class: its bytes and entropy
+    sigma_ids = [ids.setdefault(key, len(ids))
+                 for key in zip(map(np.ndarray.tobytes, sigma[0]), sigma[1].tolist())]
     pending = pending_interactions(graph.edges, a.positions(), sub.edges)
     cap = budget + len(pending) * max(len(sub.edge_list), 1)
-    routes = [_Route(list(range(len(betas))), a.positions(), pending, budget)]
+    routes = [_Route([list(range(len(betas)))], a.positions(), pending, budget)]
     while True:
         asking = []
         for route in routes:  # an ended route is skipped at once
@@ -238,40 +233,42 @@ def _routes(ig: InteractionGraph, a: Assignment, betas: np.ndarray, budget: int)
                         still = pending_interactions(route.pending, route.pos, sub.edges)
                         if still != route.pending:
                             route.log.append(EraseStep(tuple(sorted(route.pending - still))))
-                            route.pending, route.moves = still, {}
+                            route.pending, route.moves, route.stale = still, {}, True
         if not asking:
             return routes
-        # a new pending set (the first, or after an erasure): a spectrum per distinct set
-        if stale := [r for r, _ in asking if not r.log or isinstance(r.log[-1], EraseStep)]:
+        # a new pending set: a spectrum per distinct set, a rebuilt row per run, new classes
+        if stale := [r for r, _ in asking if r.stale]:
             eig = {p: laplacian_spectrum(Graph(graph.n, p)) for p in {r.pending for r in stale}}
-            rows = [i for r in stale for i in r.runs]
-            spectra = [eig[r.pending] for r in stale for _ in r.runs]
-            built = _gibbs(spectra, betas[rows])
-            rho[0][rows], rho[1][rows] = built
-            # ids agree within a round, and all the runs of a route are rebuilt in the same one
-            for i, c in zip(rows, _class_ids(built, [sigma_ids[i] for i in rows])):
-                state_class[i] = c
-        # each asking route's classes, each with one of its runs: a divergence row per class
-        classes = [{state_class[run]: run for run in r.runs} for r, _ in asking]
-        ids = [run for c in classes for run in c.values()]
+            owners = [j for j, r in enumerate(stale) for c in r.classes for _ in c]
+            rows = [i for r in stale for c in r.classes for i in c]
+            rho[0][rows], rho[1][rows] = built = _gibbs(
+                [eig[stale[j].pending] for j in owners], betas[rows])
+            # each rebuilt matrix as one void record, so ``tolist`` gives its bytes in one call
+            rho_bytes = built[0].reshape(len(rows), -1).view(f"V{built[0][0].nbytes}")
+            classes = {}  # (stale route, sigma id, rho bytes, rho entropy) -> the route's runs
+            for j, i, m, e in zip(owners, rows, rho_bytes.ravel().tolist(), built[1].tolist()):
+                classes.setdefault((j, sigma_ids[i], m, e), []).append(i)
+            for r in stale:
+                r.classes, r.stale = [], False
+            for key, c in classes.items():
+                stale[key[0]].classes.append(c)
+        # a divergence row per class of each asking route, from the class's first run
         candidates = np.array([[r.pos] + s for r, s in asking])
-        placements = np.repeat(candidates, [len(c) for c in classes], axis=0)
-        values = iter(_divergences(rho, sigma, ids, placements).tolist())
-        for (route, swapped), reps in zip(asking, classes):
-            moves = {}  # state class -> ((edge index, forced), (qjsd before, best qjsd))
-            for c in reps:
+        placements = np.repeat(candidates, [len(r.classes) for r, _ in asking], axis=0)
+        firsts = [c[0] for r, _ in asking for c in r.classes]
+        values = iter(_divergences(rho, sigma, firsts, placements).tolist())
+        for route, swapped in asking:
+            parts = {}  # (edge index, forced) -> [(class, qjsd before, best qjsd)]
+            for c in route.classes:
                 v = next(values)
                 best = min(v[1:])  # the first minimum; NaN forces
-                moves[c] = (v.index(best, 1) - 1, not best < v[0] - EPS_IMP), (v[0], best)
-            groups = {}  # (edge index, forced) -> {run: (qjsd before, best qjsd)}
-            for run in route.runs:
-                key, qjsds = moves[state_class[run]]
-                groups.setdefault(key, {})[run] = qjsds
+                key = v.index(best, 1) - 1, not best < v[0] - EPS_IMP
+                parts.setdefault(key, []).append((c, v[0], best))
             copies = [replace(route, moves={**route.moves}, log=[*route.log])
-                      for _ in range(len(groups) - 1)]  # a split: a memo and log per part
-            for child, ((i, forced), qjsds) in zip([route] + copies, groups.items()):
-                child.runs = list(qjsds)
-                child.moves[child.pos] = (sub.edge_list[i], forced, qjsds), swapped[i]
+                      for _ in range(len(parts) - 1)]  # a split: a memo and log per part
+            for child, ((i, forced), part) in zip([route] + copies, parts.items()):
+                child.classes = [p[0] for p in part]
+                child.moves[child.pos] = (sub.edge_list[i], forced, part), swapped[i]
             routes += copies
 
 
@@ -290,7 +287,7 @@ def beta_sweep(ig: InteractionGraph, a: Assignment) -> SweepResult:
 def _sweep(ig: InteractionGraph, a: Assignment, grid, budget: int) -> SweepResult:
     """The runs of ``grid``, ``budget`` forced swaps each; the best by ``(stalled, m, index)``."""
     betas = np.array([check_beta(b) for b in grid])
-    owner = {run: route for route in _routes(ig, a, betas, budget) for run in route.runs}
+    owner = {run: r for r in _routes(ig, a, betas, budget) for c in r.classes for run in c}
     per_beta = tuple((b, owner[i].m, owner[i].stalled) for i, b in enumerate(grid))
     best = min(range(len(grid)), key=lambda i: (owner[i].stalled, owner[i].m))  # the first minimum
     trace = owner[best].trace(best, float(betas[best]))

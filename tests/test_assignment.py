@@ -366,7 +366,7 @@ def test_assign_ged_zero_iff_vf2(tshape7):
         k = int(rng.integers(2, 5))
         pattern = random_connected_graph(rng, k, 0.35)
         ig = ig_of(pattern)
-        if pattern.is_complete() and k >= 2:
+        if pattern.is_complete():
             continue  # dense path reports exact GED but without the vf2 probe
         res = assign_qubits(ig, tshape7)
         assert (res.ged == 0) == (vf2_embed(pattern, tshape7) is not None)

@@ -368,6 +368,48 @@ def test_curve_of_zero_qubits_exits_input(tmp_path, capsys, name, text):
     assert (code, out, err) == (1, "", "error: entropy curve of the empty graph is undefined\n")
 
 
+CHAIN3 = json.dumps({"qubits": 3, "gates": [[0, 1], [1, 2]]})
+NO_QUBITS = json.dumps({"qubits": 0, "gates": []})
+
+
+@pytest.mark.parametrize(
+    "command, name, text, message",
+    [
+        ("bound --beta=-1", "c.json", CHAIN3, "beta must be finite and >= 0, got -1.0"),
+        ("bound --beta=nan", "c.json", CHAIN3, "beta must be finite and >= 0, got nan"),
+        ("bound --beta=inf", "c.json", CHAIN3, "beta must be finite and >= 0, got inf"),
+        ("bound", "c.json", NO_QUBITS, "empty interaction graph"),
+        ("assign", "c.json", NO_QUBITS, "empty interaction graph"),
+        ("oracle", "c.json", NO_QUBITS, "empty interaction graph"),
+        ("bound", "c.qasm", "qreg q[2];\ncx r[0],q[1];\n",
+         "unknown register in 'cx r[0],q[1]' (declared: q)"),
+        ("bound", "c.qasm", "qreg q[2];\ncx q[1],q[1];\n",
+         "gate on identical qubits in 'cx q[1],q[1]'"),
+        ("bound", "c.qasm", "OPENQASM 2.0;\nh q[0];\n", "no qreg declaration found"),
+    ],
+    ids=[
+        "negative_beta", "nan_beta", "infinite_beta", "bound_no_qubits", "assign_no_qubits",
+        "oracle_no_qubits", "qasm_unknown_register", "qasm_identical_qubits", "qasm_no_qreg",
+    ],
+)
+def test_input_errors_exit_one_with_one_error_line(tmp_path, capsys, command, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    device = str(FIXTURES / "line5.json")
+    code, out, err = run_cli(capsys, *command.split(), "--circuit", str(path), "--device", device)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_assign_csv_of_one_qubit(tmp_path, capsys):
+    # K1 is complete, but a one-node image is connected: vf2 places it before the dense rule
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"qubits": 1, "gates": []}))
+    device = str(FIXTURES / "line5.json")
+    code, out, _ = run_cli(capsys, "assign", "--circuit", str(path), "--device", device,
+                           "--format", "csv")
+    assert (code, out.splitlines()[1:]) == (0, ["one,line-5,0,vf2,0"])
+
+
 def test_output_determinism(capsys):
     args = (
         "bound",

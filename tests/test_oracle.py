@@ -14,6 +14,7 @@ from swapbound.oracle import (
     brute_force_min_swaps,
     brute_force_over_assignments,
 )
+from swapbound.uncomplexity import beta_sweep
 
 from conftest import (
     build_assignment,
@@ -111,6 +112,19 @@ def test_over_assignments_past_the_class_budget_raises_before_any_search(
     # the claw embeds on the hub: 0 swaps, which no placement beats
     count, a = brute_force_over_assignments(star_graph(4), tshape7)
     assert (count, a.ig_to_cg) == (0, (1, 0, 2, 3))
+
+
+@pytest.mark.parametrize(
+    "ig", [path_graph(5), graph_from_edges(3, [(0, 2)])], ids=["five_on_four", "three_on_four"]
+)
+def test_an_assignment_that_does_not_cover_the_interaction_graph_is_rejected(ig):
+    # four placed qubits cover neither a five-vertex nor a three-vertex graph
+    a = Assignment((0, 1, 2, 3), path_graph(4))
+    message = "assignment does not cover the interaction graph"
+    with pytest.raises(ValidationError, match=message):
+        brute_force_min_swaps(ig, a)
+    with pytest.raises(ValidationError, match=message):
+        beta_sweep(interaction_graph(Circuit(ig.n, tuple(ig.edge_list))), a)
 
 
 def test_size_guard():

@@ -424,7 +424,7 @@ def _sweep_traces(monkeypatch):
             outcome = beta_sweep(ig, a)
         except SweepError as exc:
             outcome = exc
-        owner = {run: route for route in ended["routes"] for run in route.runs}
+        owner = {run: r for r in ended["routes"] for c in r.classes for run in c}
         traces = [owner[i].trace(i, beta) for i, beta in enumerate(ended["betas"])]
         return outcome, [(t.swap_count, t) for t in traces], ended["routes"]
 
@@ -515,7 +515,7 @@ def test_lockstep_sweep_is_bit_identical_to_the_plain_loop(monkeypatch):
         seen["all stalled"] += best is None
         seen["k >= 7"] += ig.graph.n >= 7
         seen["routes split"] += len(routes) > 1
-        route_traces = [runs[route.runs[0]][1] for route in routes]
+        route_traces = [runs[route.classes[0][0]][1] for route in routes]
         seen["a split route erases"] += len(routes) > 1 and _erases_after_a_split(route_traces)
         seen["runs share a state"] += rows != asking
 
@@ -544,7 +544,7 @@ def test_runs_share_a_divergence_row_only_when_their_states_are_the_same_bytes(m
     a = build_assignment(path_graph(4), tuple(range(4)))
     betas = np.array([1e-5, 2e-5])
     routes = _routes(ig, a, betas, max_swap_bound(ig, a))
-    assert [r.runs for r in routes] == [[0, 1]] and rows == [2, 2, 2]
+    assert [r.classes for r in routes] == [[[0], [1]]] and rows == [2, 2, 2]
     rows.clear()
     grid = np.array(standard_beta_grid())
     collapsed = grid >= 2000.0
