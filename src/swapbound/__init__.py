@@ -15,7 +15,6 @@ from .errors import (
     ParseError,
     SizeGuardError,
     SwapBoundError,
-    SweepError,
     UnsupportedError,
     ValidationError,
 )

@@ -25,6 +25,7 @@ from .graphs import (
     canonical_form,
     graph_diameter,
     induced_subgraph,
+    is_bipartite,
     is_connected,
     normalize_edge,
 )
@@ -195,9 +196,10 @@ def vf2_embed(pattern: Graph, host: Graph) -> tuple[int, ...] | None:
     sorted adjacency, which lists the same feasible candidates in the same
     order. The search keeps an explicit stack of candidate iterators, one
     per placed vertex, so its depth is not bounded by Python's recursion
-    limit.
+    limit. A pattern with an odd cycle has no map into a bipartite host,
+    which would 2-colour it, so that case answers ``None`` with no search.
     """
-    if pattern.n > host.n:
+    if pattern.n > host.n or is_bipartite(host) and not is_bipartite(pattern):
         return None
     if pattern.n == 0:
         return ()
@@ -268,18 +270,14 @@ def graph_edit_distance(g: Graph, h: Graph, cutoff: int | None = None) -> GedRes
 
     ``cutoff`` is an incumbent cost: the search keeps only bijections that
     cost less. It returns ``None`` when none does, and otherwise the same
-    result as without a cutoff.
+    result as without a cutoff. Without one, the incumbent starts above
+    every bijection's cost, so the first leaf, the identity, sets it.
     """
     if g.n != h.n:
         raise ValidationError(f"size mismatch: {g.n} vs {h.n}")
     n = g.n
-    # The identity is the lexicographically smallest bijection, so seeding
-    # with it keeps the first-found-optimum tie-break intact under pruning.
-    identity = tuple(range(n))
-    best_cost = _bijection_cost(g, h, identity)
-    best_bij: tuple[int, ...] | None = identity
-    if cutoff is not None and cutoff <= best_cost:
-        best_cost, best_bij = cutoff, None
+    best_cost = g.num_edges() + h.num_edges() + 1 if cutoff is None else cutoff
+    best_bij: tuple[int, ...] | None = None
 
     # g edges with at least one endpoint still unassigned after prefix v
     g_suffix_edges = [sum(1 for (a, b) in g.edges if a >= v or b >= v) for v in range(n + 1)]

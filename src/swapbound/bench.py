@@ -22,7 +22,7 @@ from .circuits import (
 )
 from .errors import ParseError, SwapBoundError, ValidationError
 from .oracle import brute_force_min_swaps, within_guard
-from .uncomplexity import compute_bound
+from .uncomplexity import compute_bound, standard_beta_grid
 
 HIGH_TEMP_MAX = 1e-3  # upper edge of the high-temperature band reported on
 
@@ -178,15 +178,16 @@ def correlation_csv(rows: list[BenchRow]) -> str:
     return csv_text(["metric"] + names, table)
 
 
-def beta_histogram(rows: list[BenchRow], grid: tuple[float, ...]) -> list[tuple[float, int]]:
-    counts = {b: 0 for b in grid}
+def beta_histogram(rows: list[BenchRow]) -> list[tuple[float, int]]:
+    counts = dict.fromkeys(standard_beta_grid(), 0)
     for r in rows:
-        if r.beta_star is not None and r.beta_star in counts:
+        if r.beta_star in counts:
             counts[r.beta_star] += 1
-    return [(b, counts[b]) for b in grid]
+    return list(counts.items())
 
 
-def bench_summary(rows: list[BenchRow], grid: tuple[float, ...]) -> dict:
+def bench_summary(rows: list[BenchRow]) -> dict:
+    grid = standard_beta_grid()
     ok = [r for r in rows if not r.error and r.u_swap is not None]
     non_iso = [r for r in ok if (r.ged or 0) > 0]
     high_temp = [r for r in non_iso if r.beta_star is not None and r.beta_star <= HIGH_TEMP_MAX]

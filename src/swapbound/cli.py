@@ -158,14 +158,13 @@ def cmd_bench(args) -> int:
     rows = [run_pair(c, d) for c, d in load_manifest(Path(args.manifest))]
     rows_csv = rows_to_csv(rows)
     sys.stdout.write(rows_csv)
-    grid = standard_beta_grid()
-    summary = bench_summary(rows, grid)
+    summary = bench_summary(rows)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "bench_rows.csv").write_text(rows_csv)
         (out / "bench_correlation.csv").write_text(correlation_csv(rows))
-        hist = beta_histogram(rows, grid)
+        hist = beta_histogram(rows)
         (out / "bench_beta_histogram.csv").write_text(csv_text(["beta", "count"], hist))
         (out / "bench_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     sys.stderr.write(json.dumps(summary, indent=2) + "\n")

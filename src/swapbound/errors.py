@@ -36,7 +36,3 @@ class NumericalError(SwapBoundError):
 
 class SizeGuardError(ValidationError):
     """An exact routine was invoked beyond its enforced size guard."""
-
-
-class SweepError(SwapBoundError):
-    """Every run of a ``beta_sweep`` stalled (``compute_bound`` reports it as ``stalled``)."""

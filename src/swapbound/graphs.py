@@ -93,6 +93,15 @@ def is_connected(g: Graph) -> bool:
     return g.n <= 1 or min(bfs_distances(g, 0)) >= 0
 
 
+def is_bipartite(g: Graph) -> bool:
+    """2-colourable: no edge joins two vertices at the same BFS depth in their component."""
+    depth = [-1] * g.n
+    for source in range(g.n):
+        if depth[source] < 0:
+            depth = [d if d >= 0 else e for d, e in zip(bfs_distances(g, source), depth)]
+    return all(depth[u] != depth[v] for u, v in g.edges)
+
+
 def graph_diameter(g: Graph) -> int:
     """Largest shortest-path hop count over all vertex pairs."""
     if g.n == 0:

@@ -65,7 +65,7 @@ from .assignment import (
     pending_interactions,
 )
 from .circuits import InteractionGraph
-from .errors import SweepError, ValidationError
+from .errors import ValidationError
 from .graphs import Edge, Graph
 from .spectral import check_beta, entropy_of_probs, gibbs_weights, laplacian_spectrum
 
@@ -276,12 +276,9 @@ def beta_sweep(ig: InteractionGraph, a: Assignment) -> SweepResult:
     """Minimum swap count over the standard grid; ties resolve to the smallest beta.
 
     The runs advance in lockstep. Stalled runs are excluded from the
-    minimum. If every run stalls, raises :class:`SweepError`.
+    minimum. If every run stalls, returns the least-bad run, stalled.
     """
-    sweep = _sweep(ig, a, standard_beta_grid(), max_swap_bound(ig, a))
-    if sweep.trace.stalled:
-        raise SweepError("every sweep run stalled")
-    return sweep
+    return _sweep(ig, a, standard_beta_grid(), max_swap_bound(ig, a))
 
 
 def _sweep(ig: InteractionGraph, a: Assignment, grid, budget: int) -> SweepResult:
@@ -300,7 +297,7 @@ def compute_bound(ig: InteractionGraph, cg: Graph, *, beta: float | None = None)
     The divergence bound is swept over the standard grid, with every row in
     ``per_beta``, or taken at one fixed ``beta``. The report is the best
     run's, so it is ``stalled``, and gives no bound, exactly when every run
-    stalled; it never raises :class:`SweepError`.
+    stalled.
     """
     t0 = time.perf_counter()
     placed = assign_qubits(ig, cg)

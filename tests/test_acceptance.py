@@ -280,16 +280,15 @@ def test_acceptance_6_oracle_cross_validation():
 # -------------------------------------------------------------------------
 
 def test_acceptance_8_beta_distribution_report():
-    grid = standard_beta_grid()
     rows = [run_pair(c, d) for c, d in load_manifest(FIXTURES / "manifest.json")]
     assert all(not r.error for r in rows)
-    hist = beta_histogram(rows, grid)
+    hist = beta_histogram(rows)
     assert sum(c for _, c in hist) == len(rows)
     non_iso = [r for r in rows if r.ged and r.ged > 0]
     assert non_iso, "manifest must exercise non-isomorphic pairs"
     for r in non_iso:
         assert 1e-5 <= r.beta_star <= 1e5
-    summary = bench_summary(rows, grid)
+    summary = bench_summary(rows)
     assert summary["sandwich_violations"] == []
     report(
         "ACCEPTANCE 8 beta distribution: PASS "

@@ -18,7 +18,14 @@ from swapbound.assignment import (
 )
 from swapbound.circuits import Circuit, interaction_graph
 from swapbound.errors import ValidationError
-from swapbound.graphs import Graph, canonical_form, induced_subgraph, is_connected
+from swapbound.graphs import (
+    Graph,
+    bfs_distances,
+    canonical_form,
+    induced_subgraph,
+    is_bipartite,
+    is_connected,
+)
 
 from conftest import (
     all_graphs,
@@ -195,13 +202,24 @@ def test_vf2_finds_planted_embedding_always():
         assert vf2_embed(pattern, host) is not None
 
 
+def random_bipartite_graph(rng: np.random.Generator, n: int) -> Graph:
+    """A random spanning tree plus random edges between its two colour classes."""
+    tree = random_connected_graph(rng, n, 0.0)
+    side = [d % 2 for d in bfs_distances(tree, 0)]
+    cross = [(u, v) for u, v in itertools.combinations(range(n), 2) if side[u] != side[v]]
+    return graph_from_edges(n, [*tree.edges, *(e for e in cross if rng.random() < 0.4)])
+
+
 def test_vf2_returns_the_first_map_in_its_search_order():
     # the search places pattern vertices by (-degree, index) and tries host
     # vertices in ascending order, so it returns the lexicographically first
-    # image sequence in that vertex order
+    # image sequence in that vertex order; every other host is bipartite, so
+    # the reference also covers patterns with an odd cycle in such a host
     rng = np.random.default_rng(109)
-    for _ in range(150):
-        host = random_connected_graph(rng, int(rng.integers(3, 8)), 0.4)
+    odd_in_bipartite = 0
+    for i in range(200):
+        n = int(rng.integers(3, 8))
+        host = random_bipartite_graph(rng, n) if i % 2 else random_connected_graph(rng, n, 0.4)
         k = int(rng.integers(1, min(host.n, 5) + 1))
         pattern = random_graph(rng, k, 0.5)
         order = sorted(range(k), key=lambda v: (-pattern.degrees[v], v))
@@ -214,6 +232,18 @@ def test_vf2_returns_the_first_map_in_its_search_order():
                 expected = tuple(mapping)
                 break
         assert vf2_embed(pattern, host) == expected
+        odd_in_bipartite += is_bipartite(host) and not is_bipartite(pattern)
+    assert odd_in_bipartite > 10
+
+
+def test_vf2_odd_cycles_do_not_embed_in_grids_or_trees():
+    # a map keeping every edge would 2-colour the cycle, so the answer needs
+    # no search, which for C21 in the 6x6 grid would take minutes
+    binary_tree = graph_from_edges(15, [((v - 1) // 2, v) for v in range(1, 15)])
+    for k in (3, 5, 7, 21):
+        assert vf2_embed(cycle_graph(k), grid_graph(6, 6)) is None
+        assert vf2_embed(cycle_graph(k), binary_tree) is None
+    assert vf2_embed(cycle_graph(8), grid_graph(4, 4)) is not None
 
 
 def test_vf2_embeds_a_long_path_without_recursing_per_vertex():

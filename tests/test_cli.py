@@ -23,7 +23,7 @@ from swapbound.bench import (
 )
 from swapbound.circuits import interaction_graph, parse_device
 from swapbound.cli import main
-from swapbound.uncomplexity import compute_bound, standard_beta_grid
+from swapbound.uncomplexity import compute_bound
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "src" / "swapbound" / "fixtures"
@@ -646,7 +646,7 @@ def test_bench_normalized_columns_sum_to_one():
 def test_histogram_counts_rows():
     pairs = load_manifest(FIXTURES / "manifest.json")[:4]
     rows = [run_pair(c, d) for c, d in pairs]
-    hist = beta_histogram(rows, standard_beta_grid())
+    hist = beta_histogram(rows)
     assert sum(c for _, c in hist) == len([r for r in rows if r.beta_star is not None])
 
 
@@ -723,14 +723,14 @@ def test_sandwich_violations_only_flag_relations_that_hold(tmp_path):
     rows = [run_pair(c, d) for c, d in load_manifest(tmp_path / "m.json")]
     assert [(r.u_swap, r.oracle) for r in rows] == [(3, 2), (3, 2)]
     assert (rows[1].beta_star, rows[1].m_swap_max) == (1e-5, 14)
-    summary = bench_summary(rows, standard_beta_grid())
+    summary = bench_summary(rows)
     assert summary["sandwich_violations"] == []
 
 
 def test_sandwich_violations_flag_oracle_above_a_bound():
     rows = [run_pair(c, d) for c, d in load_manifest(FIXTURES / "manifest.json")[:3]]
     rows[2].oracle = rows[2].m_swap_max + 1  # an optimum no feasible schedule allows
-    summary = bench_summary(rows, standard_beta_grid())
+    summary = bench_summary(rows)
     assert summary["sandwich_violations"] == [(rows[2].benchmark, rows[2].device)]
 
 

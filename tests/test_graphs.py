@@ -9,6 +9,7 @@ from swapbound.graphs import (
     connected_components,
     graph_diameter,
     induced_subgraph,
+    is_bipartite,
     is_connected,
 )
 
@@ -89,6 +90,25 @@ def test_induced_subgraph_rejects_duplicates():
 def test_connected_components_named():
     g = graph_from_edges(5, [(0, 1), (3, 4)])
     assert connected_components(g) == [[0, 1], [2], [3, 4]]
+
+
+def test_is_bipartite_cases():
+    grid2x3 = graph_from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)])
+    assert is_bipartite(grid2x3)
+    assert is_bipartite(cycle_graph(6))
+    assert not is_bipartite(cycle_graph(5))
+    # an even component first, then a triangle
+    assert not is_bipartite(graph_from_edges(7, [(0, 1), (1, 2), (4, 5), (5, 6), (4, 6)]))
+    assert is_bipartite(graph_from_edges(0, []))
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_is_bipartite_iff_some_two_colouring_keeps_every_edge(n):
+    for g in all_graphs(n):
+        colourable = any(
+            all((c >> u & 1) != (c >> v & 1) for u, v in g.edges) for c in range(1 << n)
+        )
+        assert is_bipartite(g) == colourable
 
 
 def test_canonical_form_matches_brute_force_isomorphism():

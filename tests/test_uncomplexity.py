@@ -17,7 +17,6 @@ from swapbound.assignment import (
 )
 from swapbound.bench import load_manifest, read_circuit_file
 from swapbound.circuits import Circuit, interaction_graph, parse_device
-from swapbound.errors import SweepError
 from swapbound.graphs import Graph
 from swapbound.oracle import brute_force_min_swaps
 from swapbound.spectral import entropy_curve, gibbs_weights, laplacian_spectrum
@@ -409,9 +408,9 @@ def _state_classes(ig, a, traces, asked) -> int:
 
 
 def _sweep_traces(monkeypatch):
-    """``beta_sweep`` as a function that returns its result (or the ``SweepError``
-    it raised), every run's ``(m, trace)`` in grid order and the routes the runs
-    ended in; each trace is built by ``_Route.trace``, as the winner's is."""
+    """``beta_sweep`` as a function that returns its result, every run's
+    ``(m, trace)`` in grid order and the routes the runs ended in; each trace
+    is built by ``_Route.trace``, as the winner's is."""
     ended = {}
 
     def collected(ig, a, betas, budget):
@@ -420,10 +419,7 @@ def _sweep_traces(monkeypatch):
 
     def sweep(ig, a):
         ended.clear()
-        try:
-            outcome = beta_sweep(ig, a)
-        except SweepError as exc:
-            outcome = exc
+        outcome = beta_sweep(ig, a)
         owner = {run: r for r in ended["routes"] for c in r.classes for run in c}
         traces = [owner[i].trace(i, beta) for i, beta in enumerate(ended["betas"])]
         return outcome, [(t.swap_count, t) for t in traces], ended["routes"]
@@ -459,8 +455,8 @@ def _erases_after_a_split(traces) -> bool:
 
 def test_lockstep_sweep_is_bit_identical_to_the_plain_loop(monkeypatch):
     # The sweep's runs share each round's gather and batched eigvalsh; every
-    # run's (m, trace), the sweep's result and its errors must still be those
-    # of running the grid one beta at a time.
+    # run's (m, trace) and the sweep's result, stalled or not, must still be
+    # those of running the grid one beta at a time.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     sweep = _sweep_traces(monkeypatch)
@@ -499,20 +495,15 @@ def test_lockstep_sweep_is_bit_identical_to_the_plain_loop(monkeypatch):
         asked = [len(dict.fromkeys(_states_evaluated(ig, a, t))) for _, t in plain]
         asking = [sum(n > r for n in asked) for r in range(max(asked))]
         assert len(rows) == len(asking) and all(map(operator.le, rows, asking))
-        # the sweep the plain loop gives: first minimum over the runs that did not stall
-        per_beta, best = [], None
-        for b, (m, trace) in zip(betas, plain):
-            per_beta.append((b, m, trace.stalled))
-            if not trace.stalled and (best is None or m < best.swap_count):
-                best = trace
-        expected = SweepError("every sweep run stalled")
-        if best is not None:
-            expected = SweepResult(best.beta, best.swap_count, tuple(per_beta), best)
+        # the sweep the plain loop gives: the first minimum by (stalled, m)
+        per_beta = tuple((b, m, trace.stalled) for b, (m, trace) in zip(betas, plain))
+        best = min((trace for _, trace in plain), key=lambda t: (t.stalled, t.swap_count))
+        expected = SweepResult(best.beta, best.swap_count, per_beta, best)
         assert repr(outcome) == repr(expected)
         seen["no request"] += all(m == 0 and not t.stalled for m, t in plain)
-        seen["stalled"] += any(t.stalled for _, t in plain) and best is not None
+        seen["stalled"] += any(t.stalled for _, t in plain) and not best.stalled
         seen["one point"] += len(betas) == 1
-        seen["all stalled"] += best is None
+        seen["all stalled"] += best.stalled
         seen["k >= 7"] += ig.graph.n >= 7
         seen["routes split"] += len(routes) > 1
         route_traces = [runs[route.classes[0][0]][1] for route in routes]
@@ -957,14 +948,15 @@ def test_beta_sweep_star_case():
     assert sweep.m_star == 1
 
 
-def test_beta_sweep_all_stalled_raises(monkeypatch):
+def test_beta_sweep_all_stalled_returns_the_stalled_run(monkeypatch):
     ig = ig_of(star_graph(4))
     a = build_assignment(path_graph(4), (0, 1, 2, 3))
     # a grid of one ultra-high-temperature point: no strict improvement is
     # representable, so the run spends its stall budget and must stall
     monkeypatch.setattr("swapbound.uncomplexity.standard_beta_grid", lambda: (1e-300,))
-    with pytest.raises(SweepError):
-        beta_sweep(ig, a)
+    sweep = beta_sweep(ig, a)
+    assert sweep.trace.stalled
+    assert sweep.trace == swap_uncomplexity(ig, a, 1e-300)[1]
 
 
 def test_compute_bound_end_to_end():
