@@ -108,27 +108,44 @@ class AssignmentResult:
 def connected_subsets(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
     """All connected k-vertex subsets, each yielded exactly once, sorted.
 
-    ESU-style growth: subsets are rooted at their minimum vertex and
-    extended only through exclusive neighbors with larger indices, which
-    makes the enumeration duplicate-free without a seen-set.
+    ESU-style growth (Wernicke, 2006): subsets are rooted at their minimum
+    vertex and extended only through exclusive neighbors with larger
+    indices, which makes the enumeration duplicate-free without a seen-set.
+    The growth keeps an explicit stack, one frame per vertex of the growing
+    path: the bitmask of extension vertices still to try, in ascending
+    order, and the bitmask of vertices closed to later extensions. So its
+    depth is not bounded by Python's recursion limit.
     """
     if not (1 <= k <= g.n):
         raise ValidationError(f"k must be in [1, {g.n}], got {k}")
-
-    def extend(sub: list[int], ext: set[int], closed: frozenset[int], start: int):
-        if len(sub) == k:
-            yield tuple(sorted(sub))
-            return
-        work = set(ext)
-        for w in sorted(ext):
-            work.discard(w)
-            fresh = {u for u in g.adjacency[w] if u > start and u not in closed}
-            yield from extend(sub + [w], work | fresh, closed | {w} | set(g.adjacency[w]), start)
-
+    adj = [sum(1 << w for w in a) for a in g.adjacency]
     for start in range(g.n):
-        ext0 = {w for w in g.adjacency[start] if w > start}
-        closed0 = frozenset({start} | set(g.adjacency[start]))
-        yield from extend([start], ext0, closed0, start)
+        if k == 1:
+            yield (start,)
+            continue
+        above = -1 << start + 1  # the vertices a subset rooted at start may add
+        path = [start]
+        exts = [adj[start] & above]
+        closed = [adj[start] | 1 << start]
+        while exts:
+            ext = exts[-1]
+            if not ext:
+                exts.pop()
+                closed.pop()
+                path.pop()
+            elif len(path) == k - 1:  # every extension completes a subset
+                exts[-1] = 0
+                while ext:
+                    low = ext & -ext
+                    ext ^= low
+                    yield tuple(sorted(path + [low.bit_length() - 1]))
+            else:
+                low = ext & -ext
+                exts[-1] = ext = ext ^ low
+                w = low.bit_length() - 1
+                path.append(w)
+                exts.append(ext | adj[w] & above & ~closed[-1])
+                closed.append(closed[-1] | low | adj[w])
 
 
 CLASS_BUDGET = 100_000  # connected subsets a class enumeration may visit
@@ -161,11 +178,19 @@ def _subset_groups(cg: Graph, k: int) -> dict[_GroupKey, list[tuple[int, ...]]] 
 
 
 def _group_classes(cg: Graph, subsets: list[tuple[int, ...]]) -> list[SubgraphClass]:
-    """The classes of one group, each represented by its first subset."""
+    """The classes of one group, each represented by its first subset.
+
+    One canonical form per shape: subsets that induce the same labelled
+    graph (translates on a grid, say) share a class, so only the first of
+    them is classed. The memo lives for one call.
+    """
     classes: dict[tuple[int, int], SubgraphClass] = {}
+    seen: set[Graph] = set()
     for subset in subsets:
         sub = induced_subgraph(cg, subset)
-        classes.setdefault(canonical_form(sub), SubgraphClass(subset, sub))
+        if sub not in seen:
+            seen.add(sub)
+            classes.setdefault(canonical_form(sub), SubgraphClass(subset, sub))
     return list(classes.values())
 
 
@@ -335,31 +360,43 @@ def most_connected_subgraph(cg: Graph, k: int) -> tuple[int, ...]:
     """
     if not (1 <= k <= cg.n):
         raise ValidationError(f"k must be in [1, {cg.n}], got {k}")
-    seed = max(range(cg.n), key=lambda v: (cg.degrees[v], -v))
-    chosen = {seed}
+    chosen: set[int] = set()
+    gain = [0] * cg.n  # chosen neighbours of each vertex
+    current = 0  # induced edges of chosen
+
+    def add(v: int):
+        chosen.add(v)
+        for x in cg.adjacency[v]:
+            gain[x] += 1
+
+    def remove(v: int):
+        chosen.discard(v)
+        for x in cg.adjacency[v]:
+            gain[x] -= 1
+
+    add(max(range(cg.n), key=lambda v: (cg.degrees[v], -v)))
     while len(chosen) < k:
-        frontier = sorted({w for v in chosen for w in cg.adjacency[v]} - chosen)
+        frontier = [w for w in range(cg.n) if gain[w] and w not in chosen]
         if not frontier:
             raise ValidationError("coupling graph is disconnected")
-        gain = lambda w: sum(1 for x in cg.adjacency[w] if x in chosen)
-        chosen.add(max(frontier, key=lambda w: (gain(w), -w)))
-
-    def edge_count(nodes: set[int]) -> int:
-        return sum(1 for u, v in cg.edges if u in nodes and v in nodes)
+        w = max(frontier, key=lambda w: (gain[w], -w))
+        current += gain[w]
+        add(w)
 
     improved = True
     while improved:
         improved = False
-        current = edge_count(chosen)
         for v in sorted(chosen):
             for u in range(cg.n):
                 if u in chosen:
                     continue
-                trial = (chosen - {v}) | {u}
-                if edge_count(trial) > current and is_connected(
-                    induced_subgraph(cg, sorted(trial))
+                count = current - gain[v] + gain[u] - cg.has_edge(u, v)
+                if count > current and is_connected(
+                    induced_subgraph(cg, sorted((chosen - {v}) | {u}))
                 ):
-                    chosen = trial
+                    remove(v)
+                    add(u)
+                    current = count
                     improved = True
                     break
             if improved:

@@ -38,6 +38,11 @@ from conftest import (
     random_connected_graph,
     star_graph,
 )
+from reference_assignment import (
+    classes_of_every_subset,
+    recounting_most_connected_subgraph,
+    recursive_connected_subsets,
+)
 
 
 def ig_of(graph: Graph, repeats: dict | None = None):
@@ -68,6 +73,26 @@ def test_connected_subsets_match_exhaustive_enumeration():
             )
             assert got == expected  # coverage and exact multiplicity
             assert len(set(got)) == len(got)
+
+
+def test_connected_subsets_follow_the_recursive_order():
+    # class representatives are first subsets in this order, so the order
+    # itself is part of the contract, not only the set
+    rng = np.random.default_rng(37)
+    cases = [random_graph(rng, int(rng.integers(1, 11)), float(rng.uniform(0.1, 0.7)))
+             for _ in range(60)]
+    cases += [random_connected_graph(rng, 10, 0.2) for _ in range(10)]
+    cases += [path_graph(10), complete_graph(8), star_graph(9), cycle_graph(10)]
+    for g in cases:
+        for k in range(1, g.n + 1):
+            assert list(connected_subsets(g, k)) == list(recursive_connected_subsets(g, k))
+
+
+def test_connected_subsets_need_no_recursion():
+    # one frame per path vertex: a 1,050-vertex path is far deeper than
+    # Python's recursion limit
+    got = list(connected_subsets(path_graph(1100), 1050))
+    assert got == [tuple(range(i, i + 1050)) for i in range(51)]
 
 
 def test_class_counts_cover_all_subsets(tshape7):
@@ -109,6 +134,36 @@ def test_enumerate_past_the_class_budget_is_none_and_classes_nothing(tshape7, mo
     assert enumerate_connected_subgraph_classes(tshape7, 4) is None
     monkeypatch.setattr("swapbound.assignment.CLASS_BUDGET", 2)
     assert enumerate_connected_subgraph_classes(tshape7, 4) is None
+
+
+def test_classes_match_classing_every_subset(tshape7):
+    rng = np.random.default_rng(41)
+    cases = [tshape7, grid_graph(4, 4)] + [
+        random_connected_graph(rng, int(rng.integers(2, 9)), 0.3) for _ in range(20)
+    ]
+    for cg in cases:
+        for k in range(1, cg.n + 1):
+            got = enumerate_connected_subgraph_classes(cg, k)
+            assert [(c.representative_nodes, c.graph) for c in got] == [
+                (c.representative_nodes, c.graph) for c in classes_of_every_subset(cg, k)
+            ]
+
+
+def test_group_classes_take_one_canonical_form_per_shape(monkeypatch):
+    # translates on a row-major grid induce the same labelled graph
+    cg = grid_graph(4, 4)
+    subsets = list(connected_subsets(cg, 6))
+    shapes = {induced_subgraph(cg, s) for s in subsets}
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return canonical_form(g)
+
+    monkeypatch.setattr("swapbound.assignment.canonical_form", counted)
+    enumerate_connected_subgraph_classes(cg, 6)
+    assert len(calls) == len(set(calls)) and set(calls) == shapes  # one call per shape
+    assert len(calls) < len(subsets)
 
 
 # --- the assignment ------------------------------------------------------------
@@ -525,6 +580,18 @@ def test_most_connected_matches_exhaustive_edge_count():
             # edge of optimal on these sizes and be connected
             assert is_connected(induced_subgraph(g, nodes))
             assert got >= best - 1
+
+
+def test_most_connected_matches_the_recounting_search():
+    # the counts are kept incrementally, but the trials run in the same
+    # order, so the subset is the same
+    rng = np.random.default_rng(53)
+    cases = [random_connected_graph(rng, int(rng.integers(2, 13)), float(rng.uniform(0.05, 0.5)))
+             for _ in range(60)]
+    cases += [grid_graph(4, 4), grid_graph(3, 5), cycle_graph(9), star_graph(6)]
+    for g in cases:
+        for k in range(1, g.n + 1):
+            assert most_connected_subgraph(g, k) == recounting_most_connected_subgraph(g, k)
 
 
 def test_most_connected_exchange_reaches_what_growth_misses():
