@@ -204,14 +204,16 @@ def _routes(ig: InteractionGraph, a: Assignment, betas: np.ndarray, budget: int)
     graph, sub = ig.graph, a.cg_subgraph
     if graph.n != sub.n:
         raise ValidationError("assignment does not cover the interaction graph")
+    pending = pending_interactions(graph.edges, a.positions(), sub.edges)
+    routes = [_Route([list(range(len(betas)))], a.positions(), pending, budget)]
+    if not pending:  # every run ends at once, so no Gibbs row is read
+        return routes
     sigma = _gibbs([laplacian_spectrum(sub)], betas)
     rho = tuple(map(np.empty_like, sigma))  # row i: the Gibbs state of run i's pending graph
     ids = {}  # a sigma row's class: its bytes and entropy
     sigma_ids = [ids.setdefault(key, len(ids))
                  for key in zip(map(np.ndarray.tobytes, sigma[0]), sigma[1].tolist())]
-    pending = pending_interactions(graph.edges, a.positions(), sub.edges)
     cap = budget + len(pending) * max(len(sub.edge_list), 1)
-    routes = [_Route([list(range(len(betas)))], a.positions(), pending, budget)]
     while True:
         asking = []
         for route in routes:  # an ended route is skipped at once

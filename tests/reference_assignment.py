@@ -1,14 +1,15 @@
-"""Plain references for the placement's enumeration, classing and dense search.
+"""Plain references for the placement's enumeration, classing and searches.
 
 Each function is the straightforward form of one in ``swapbound.assignment``:
 a recursive ESU over vertex sets, classing that takes the canonical form of
-every subset, and the dense search that recounts every induced edge of
-every trial subset. Tests check the library against them, order included.
+every subset, the dense search that recounts every induced edge of every
+trial subset, and the GED search whose only bound is the count of
+remaining edges. Tests check the library against them, order included.
 """
 
 from __future__ import annotations
 
-from swapbound.assignment import SubgraphClass, connected_subsets
+from swapbound.assignment import GedResult, SubgraphClass, connected_subsets
 from swapbound.errors import ValidationError
 from swapbound.graphs import Graph, canonical_form, induced_subgraph, is_connected
 
@@ -77,3 +78,63 @@ def recounting_most_connected_subgraph(cg: Graph, k: int) -> tuple[int, ...]:
             if improved:
                 break
     return tuple(sorted(chosen))
+
+
+def reference_graph_edit_distance(g: Graph, h: Graph, cutoff: int | None = None) -> GedResult | None:
+    """Exact minimum edge-edit cost over vertex bijections (equal sizes).
+
+    Depth-first branch and bound in lexicographic bijection order with an
+    admissible remaining-edge-count bound, so the returned bijection is
+    the lexicographically smallest optimal one. Edge insertion and
+    deletion both cost 1; vertex operations are not modeled.
+
+    ``cutoff`` is an incumbent cost: the search keeps only bijections that
+    cost less. It returns ``None`` when none does, and otherwise the same
+    result as without a cutoff. Without one, the incumbent starts above
+    every bijection's cost, so the first leaf, the identity, sets it.
+    """
+    if g.n != h.n:
+        raise ValidationError(f"size mismatch: {g.n} vs {h.n}")
+    n = g.n
+    best_cost = g.num_edges() + h.num_edges() + 1 if cutoff is None else cutoff
+    best_bij: tuple[int, ...] | None = None
+
+    # g edges with at least one endpoint still unassigned after prefix v
+    g_suffix_edges = [sum(1 for (a, b) in g.edges if a >= v or b >= v) for v in range(n + 1)]
+
+    mapping = [-1] * n
+    inverse = [-1] * n  # host vertex -> assigned g vertex
+
+    def dfs(v: int, cost: int, h_used: int):
+        nonlocal best_cost, best_bij
+        if v == n:
+            if cost < best_cost:
+                best_cost = cost
+                best_bij = tuple(mapping)
+            return
+        remaining_h = h.num_edges() - h_used
+        for x in range(n):
+            if inverse[x] >= 0:
+                continue
+            added = 0
+            closed_h = 0
+            for w in g.adjacency[v]:
+                if w < v and not h.has_edge(x, mapping[w]):
+                    added += 1  # g edge (w,v) lands on a non-edge: delete
+            for y in h.adjacency[x]:
+                gw = inverse[y]
+                if gw >= 0:
+                    closed_h += 1
+                    if not g.has_edge(v, gw):
+                        added += 1  # h edge (y,x) has no g counterpart: insert
+            bound = abs(g_suffix_edges[v + 1] - (remaining_h - closed_h))
+            if cost + added + bound >= best_cost:
+                continue
+            mapping[v] = x
+            inverse[x] = v
+            dfs(v + 1, cost + added, h_used + closed_h)
+            mapping[v] = -1
+            inverse[x] = -1
+
+    dfs(0, 0, 0)
+    return None if best_bij is None else GedResult(best_cost, best_bij)

@@ -42,6 +42,7 @@ from reference_assignment import (
     classes_of_every_subset,
     recounting_most_connected_subgraph,
     recursive_connected_subsets,
+    reference_graph_edit_distance,
 )
 
 
@@ -389,6 +390,34 @@ def test_ged_cutoff_keeps_the_result_above_the_distance_and_is_none_at_or_below(
             assert graph_edit_distance(g, h, cutoff) == expected
 
 
+@pytest.mark.parametrize("min_open", [None, 1])
+def test_ged_matches_the_reference_search_at_every_cutoff(monkeypatch, min_open):
+    # The pruned search returns what the search bounded by edge counts alone
+    # returns, cut or not. ``min_open`` 1 applies the sharper bound at every
+    # depth, so small graphs exercise it too.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    if min_open is not None:
+        monkeypatch.setattr("swapbound.assignment.BOUND_MIN_OPEN", min_open)
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.integers(0, 8))
+        if n < 2:
+            return Graph(n), Graph(n)
+        pairs = st.sampled_from(list(itertools.combinations(range(n), 2)))
+        return graph_from_edges(n, draw(st.sets(pairs))), graph_from_edges(n, draw(st.sets(pairs)))
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(cases())
+    def check(case):
+        g, h = case
+        for cutoff in [None, *range(g.num_edges() + h.num_edges() + 2)]:
+            assert graph_edit_distance(g, h, cutoff) == reference_graph_edit_distance(g, h, cutoff)
+
+    check()
+
+
 def test_degree_floor_is_admissible():
     rng = np.random.default_rng(101)
     for _ in range(200):
@@ -489,6 +518,30 @@ def test_assign_ring_chord_on_grid_ladder(k, ged, ig_to_cg):
     ring_chord = graph_from_edges(k, [(i, (i + 1) % k) for i in range(k)] + [(0, 2)])
     res = assign_qubits(ig_of(ring_chord), grid_graph(4, 4))
     assert (res.method, res.ged, res.assignment.ig_to_cg) == ("similarity", ged, ig_to_cg)
+
+
+@pytest.mark.parametrize(
+    "gates, ig_to_cg",
+    [
+        (
+            [(0, 1), (0, 7), (0, 9), (1, 2), (2, 3), (3, 4), (3, 8), (4, 5), (4, 6), (5, 6),
+             (5, 9), (6, 7), (6, 9), (7, 8), (8, 9)],
+            (0, 4, 8, 9, 3, 7, 2, 1, 5, 6),
+        ),
+        (
+            [(0, 1), (0, 9), (0, 11), (1, 2), (2, 3), (3, 4), (4, 5), (4, 10), (5, 6), (5, 7),
+             (6, 7), (6, 11), (7, 8), (7, 9), (8, 9), (8, 11), (9, 10), (10, 11)],
+            (6, 10, 14, 13, 12, 8, 4, 0, 1, 2, 3, 5),
+        ),
+    ],
+    ids=["rc10", "rc12"],
+)
+def test_assign_ring_with_chords_on_the_grid_in_seconds(gates, ig_to_cg):
+    # A k-ring plus k/2 chords: 38 and 60 GED searches. Bounded by edge counts
+    # alone, rc12's took minutes; the placements were recorded then.
+    ig = interaction_graph(Circuit(len(ig_to_cg), tuple(gates)))
+    res = assign_qubits(ig, grid_graph(4, 4))
+    assert (res.method, res.ged, res.assignment.ig_to_cg) == ("similarity", 4, ig_to_cg)
 
 
 def test_assign_disconnected_ig_still_places(tshape7):

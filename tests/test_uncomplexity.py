@@ -941,6 +941,20 @@ def test_beta_sweep_isomorphic_all_zero():
     assert all(m == 0 for _, m, _ in sweep.per_beta)
 
 
+def test_a_sweep_with_nothing_pending_builds_no_gibbs_row(monkeypatch):
+    ig = ig_of(path_graph(3))
+    a = assign_qubits(ig, path_graph(4)).assignment
+    expected = beta_sweep(ig, a)
+
+    def unread(*args):
+        raise AssertionError("a Gibbs row that nothing reads was built")
+
+    monkeypatch.setattr("swapbound.uncomplexity._gibbs", unread)
+    monkeypatch.setattr("swapbound.uncomplexity.laplacian_spectrum", unread)
+    assert beta_sweep(ig, a) == expected
+    assert expected.trace.steps == () and not expected.trace.stalled
+
+
 def test_beta_sweep_star_case():
     ig = ig_of(star_graph(4))
     a = build_assignment(path_graph(4), (1, 0, 2, 3))
