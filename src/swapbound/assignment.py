@@ -120,7 +120,7 @@ def connected_subsets(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
     """
     if not (1 <= k <= g.n):
         raise ValidationError(f"k must be in [1, {g.n}], got {k}")
-    adj = [sum(1 << w for w in a) for a in g.adjacency]
+    adj = g.masks
     for start in range(g.n):
         if k == 1:
             yield (start,)
@@ -170,7 +170,7 @@ def _subset_groups(cg: Graph, k: int) -> dict[_GroupKey, list[tuple[int, ...]]] 
         subsets.append(subset)
         if len(subsets) > CLASS_BUDGET:
             return None
-    adj = [sum(1 << w for w in a) for a in cg.adjacency]
+    adj = cg.masks
     groups: dict[_GroupKey, list[tuple[int, ...]]] = {}
     for subset in subsets:
         mask = sum(1 << v for v in subset)
@@ -218,52 +218,50 @@ def vf2_embed(pattern: Graph, host: Graph) -> tuple[int, ...] | None:
 
     Non-induced monomorphism: extra host edges among image vertices are
     permitted. Deterministic search order: pattern vertices by descending
-    degree (then index), host candidates by ascending index. A vertex with
-    a mapped neighbour draws its candidates from that neighbour's image's
-    sorted adjacency, which lists the same feasible candidates in the same
-    order. The search keeps an explicit stack of candidate iterators, one
-    per placed vertex, so its depth is not bounded by Python's recursion
-    limit. A pattern with an odd cycle has no map into a bipartite host,
-    which would 2-colour it, so that case answers ``None`` with no search.
+    degree (then index), host candidates by ascending index. A vertex's
+    candidates are the free host vertices of large enough degree that are
+    adjacent to the image of every mapped neighbour: one bitmask, the AND
+    of those images' :attr:`Graph.masks`. The search keeps an explicit
+    stack of these bitmasks, one per placed vertex, so its depth is not
+    bounded by Python's recursion limit. A pattern with an odd cycle has
+    no map into a bipartite host, which would 2-colour it, so that case
+    answers ``None`` with no search.
     """
     if pattern.n > host.n or is_bipartite(host) and not is_bipartite(pattern):
         return None
-    if pattern.n == 0:
+    n = pattern.n
+    if n == 0:
         return ()
-    order = sorted(range(pattern.n), key=lambda v: (-pattern.degrees[v], v))
-    mapping = [-1] * pattern.n
-    used = [False] * host.n
-
-    def candidates(pv: int):
-        for pw in pattern.adjacency[pv]:
-            if mapping[pw] >= 0:
-                return iter(host.adjacency[mapping[pw]])
-        return iter(range(host.n))
-
-    stack = [candidates(order[0])]
-    while stack:
-        pv = order[len(stack) - 1]
-        if mapping[pv] >= 0:  # back from a dead end below: free this choice
-            used[mapping[pv]] = False
-            mapping[pv] = -1
-        for hv in stack[-1]:
-            if used[hv] or host.degrees[hv] < pattern.degrees[pv]:
-                continue
-            if any(
-                mapping[pw] >= 0 and not host.has_edge(hv, mapping[pw])
-                for pw in pattern.adjacency[pv]
-            ):
-                continue
-            mapping[pv] = hv
-            used[hv] = True
-            break
-        else:
-            stack.pop()
+    order = sorted(range(n), key=lambda v: (-pattern.degrees[v], v))
+    rank = {v: i for i, v in enumerate(order)}
+    earlier = [[w for w in pattern.adjacency[v] if rank[w] < i] for i, v in enumerate(order)]
+    fit = {  # pattern degree -> the host vertices of at least that degree
+        d: sum(1 << x for x, e in enumerate(host.degrees) if e >= d) for d in set(pattern.degrees)
+    }
+    masks, mapping = host.masks, [-1] * n
+    cands = [0] * n  # depth -> host vertices still to try for order[depth], in ascending order
+    cands[0] = fit[pattern.degrees[order[0]]]
+    used = 0  # host vertices mapped above the current depth
+    i = 0
+    while True:
+        c = cands[i]
+        if not c:
+            if i == 0:
+                return None
+            i -= 1
+            used ^= 1 << mapping[order[i]]
             continue
-        if len(stack) == pattern.n:
+        low = c & -c
+        cands[i] = c ^ low
+        mapping[order[i]] = low.bit_length() - 1
+        if i == n - 1:
             return tuple(mapping)
-        stack.append(candidates(order[len(stack)]))
-    return None
+        used |= low
+        i += 1
+        c = fit[pattern.degrees[order[i]]] & ~used
+        for w in earlier[i]:
+            c &= masks[mapping[w]]
+        cands[i] = c
 
 
 def connected_embedding(pattern: Graph, host: Graph) -> tuple[int, ...] | None:
@@ -329,8 +327,7 @@ def graph_edit_distance(g: Graph, h: Graph, cutoff: int | None = None) -> GedRes
     if n == 0:
         return GedResult(0, ()) if best > 0 else None
     h_adjacency, h_degrees = h.adjacency, h.degrees
-    gadj = [sum(1 << w for w in a) for a in g.adjacency]
-    hadj = [sum(1 << y for y in a) for a in h_adjacency]
+    gadj, hadj = g.masks, h.masks
     back = [(gadj[v] & (1 << v) - 1).bit_count() for v in range(n)]  # g edges v closes
     g_open = [m_g - s for s in accumulate(back)]  # g edges still open after v
     width = max(g.degrees + h_degrees)  # cumulative counts run over t < width
@@ -423,52 +420,42 @@ def most_connected_subgraph(cg: Graph, k: int) -> tuple[int, ...]:
     Deterministic: seed at the max-degree vertex, grow by the neighbor
     adding the most induced edges, then apply first-improvement single
     vertex exchanges that keep the subset connected. Ties always resolve
-    to the smallest vertex index.
+    to the smallest vertex index. The subset is one bitmask, so a vertex's
+    count of chosen neighbours is a popcount of its :attr:`Graph.masks`.
     """
     if not (1 <= k <= cg.n):
         raise ValidationError(f"k must be in [1, {cg.n}], got {k}")
-    chosen: set[int] = set()
-    gain = [0] * cg.n  # chosen neighbours of each vertex
+    masks = cg.masks
+    chosen = 1 << max(range(cg.n), key=lambda v: (cg.degrees[v], -v))  # a bitmask
     current = 0  # induced edges of chosen
-
-    def add(v: int):
-        chosen.add(v)
-        for x in cg.adjacency[v]:
-            gain[x] += 1
-
-    def remove(v: int):
-        chosen.discard(v)
-        for x in cg.adjacency[v]:
-            gain[x] -= 1
-
-    add(max(range(cg.n), key=lambda v: (cg.degrees[v], -v)))
-    while len(chosen) < k:
-        frontier = [w for w in range(cg.n) if gain[w] and w not in chosen]
+    for _ in range(k - 1):
+        frontier = [w for w in range(cg.n) if masks[w] & chosen and not chosen >> w & 1]
         if not frontier:
             raise ValidationError("coupling graph is disconnected")
-        w = max(frontier, key=lambda w: (gain[w], -w))
-        current += gain[w]
-        add(w)
+        w = max(frontier, key=lambda w: ((masks[w] & chosen).bit_count(), -w))
+        current += (masks[w] & chosen).bit_count()
+        chosen |= 1 << w
 
     improved = True
     while improved:
         improved = False
-        for v in sorted(chosen):
+        for v in range(cg.n):
+            if not chosen >> v & 1:
+                continue
+            rest = chosen ^ 1 << v
+            lost = (masks[v] & rest).bit_count()
             for u in range(cg.n):
-                if u in chosen:
+                if chosen >> u & 1:
                     continue
-                count = current - gain[v] + gain[u] - cg.has_edge(u, v)
+                count = current - lost + (masks[u] & rest).bit_count()
                 if count > current and is_connected(
-                    induced_subgraph(cg, sorted((chosen - {v}) | {u}))
+                    induced_subgraph(cg, [x for x in range(cg.n) if (rest | 1 << u) >> x & 1])
                 ):
-                    remove(v)
-                    add(u)
-                    current = count
-                    improved = True
+                    chosen, current, improved = rest | 1 << u, count, True
                     break
             if improved:
                 break
-    return tuple(sorted(chosen))
+    return tuple(x for x in range(cg.n) if chosen >> x & 1)
 
 
 def _greedy_bijection(ig_graph: Graph, sub: Graph) -> tuple[int, ...]:

@@ -2,8 +2,8 @@
 
 The canonical circuit input is JSON ``{"name": str, "qubits": int,
 "gates": [[i,j],...]}``. A small OpenQASM-2.0-style reader lowers ``cx``,
-``cz`` and ``swap`` statements into the same representation; everything
-else in a QASM file is skipped.
+the built-in ``CX``, ``cz`` and ``swap`` statements into the same
+representation; everything else in a QASM file is skipped.
 """
 
 from __future__ import annotations
@@ -130,13 +130,13 @@ def parse_circuit_json(text: bytes | str) -> Circuit:
 
 _QREG_RE = re.compile(r"^qreg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")
 _TWO_QUBIT_RE = re.compile(
-    r"^(cx|cz|swap)\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]\s*,"
+    r"^(cx|CX|cz|swap)\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]\s*,"
     r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$"
 )
 
 
 def parse_circuit_qasm_subset(text: bytes | str, name: str = "") -> Circuit:
-    """Extract cx/cz/swap statements from an OpenQASM-2.0-like file.
+    """Extract cx/CX/cz/swap statements from an OpenQASM-2.0-like file.
 
     One ``qreg`` declaration is required before the first recognized
     two-qubit gate; a second ``qreg`` raises ``UnsupportedError``. Other

@@ -55,6 +55,11 @@ class Graph:
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(a) for a in self.adjacency)
 
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """Neighbour bitmasks by vertex: bit ``w`` of ``masks[v]`` is set iff v-w is an edge."""
+        return tuple(sum(1 << w for w in a) for a in self.adjacency)
+
     def has_edge(self, u: int, v: int) -> bool:
         return normalize_edge(u, v) in self.edges
 
@@ -158,7 +163,7 @@ def canonical_form(g: Graph) -> tuple[int, int]:
     already tried at the same position: exchanging twins is an automorphism.
     """
     n = g.n
-    nbr = [sum(1 << w for w in a) for a in g.adjacency]
+    nbr = g.masks
     twins = [
         sum(1 << u for u in range(n) if u != v and nbr[u] & ~(1 << v) == nbr[v] & ~(1 << u))
         for v in range(n)

@@ -181,7 +181,11 @@ def swap_uncomplexity(ig: InteractionGraph, a: Assignment, beta: float) -> tuple
 
 @dataclass
 class _Route:
-    """Runs that made the same moves so far: one state, memo and step log for all of them."""
+    """Runs that made the same moves so far: one state, memo and step log for all of them.
+
+    An erasure empties the memo, so a route that asks with an empty memo has a new
+    pending set: its rows are rebuilt and its classes regrouped.
+    """
     classes: list  # state classes: lists of grid indices whose two Gibbs rows are the same bytes
     pos: tuple
     pending: frozenset
@@ -190,7 +194,6 @@ class _Route:
     moves: dict = field(default_factory=dict)  # placement -> (swap, next placement)
     log: list = field(default_factory=list)  # steps; a swap is (edge, forced, [(class, *qjsds)])
     stalled: bool = False
-    stale: bool = True  # a new pending set: its rows are rebuilt and its classes regrouped
 
     def trace(self, run: int, beta: float) -> AlgoTrace:
         """Run ``run``'s trace: the log, with its class's divergences in each swap."""
@@ -235,11 +238,11 @@ def _routes(ig: InteractionGraph, a: Assignment, betas: np.ndarray, budget: int)
                         still = pending_interactions(route.pending, route.pos, sub.edges)
                         if still != route.pending:
                             route.log.append(EraseStep(tuple(sorted(route.pending - still))))
-                            route.pending, route.moves, route.stale = still, {}, True
+                            route.pending, route.moves = still, {}
         if not asking:
             return routes
-        # a new pending set: a spectrum per distinct set, a rebuilt row per run, new classes
-        if stale := [r for r, _ in asking if r.stale]:
+        # an empty memo is a new pending set: a spectrum per set, a new row per run, new classes
+        if stale := [r for r, _ in asking if not r.moves]:
             eig = {p: laplacian_spectrum(Graph(graph.n, p)) for p in {r.pending for r in stale}}
             owners = [j for j, r in enumerate(stale) for c in r.classes for _ in c]
             rows = [i for r in stale for c in r.classes for i in c]
@@ -251,7 +254,7 @@ def _routes(ig: InteractionGraph, a: Assignment, betas: np.ndarray, budget: int)
             for j, i, m, e in zip(owners, rows, rho_bytes.ravel().tolist(), built[1].tolist()):
                 classes.setdefault((j, sigma_ids[i], m, e), []).append(i)
             for r in stale:
-                r.classes, r.stale = [], False
+                r.classes = []
             for key, c in classes.items():
                 stale[key[0]].classes.append(c)
         # a divergence row per class of each asking route, from the class's first run

@@ -79,8 +79,9 @@ def test_circuit_roundtrip():
     assert again == c
 
 
-def test_qasm_drops_single_qubit_gates():
-    c = parse_circuit_qasm_subset(b"qreg q[3]; h q[0]; cx q[0],q[1]; cx q[1],q[2];")
+@pytest.mark.parametrize("cnot", ["cx", "CX"])  # CX is OpenQASM 2.0's built-in CNOT
+def test_qasm_drops_single_qubit_gates(cnot):
+    c = parse_circuit_qasm_subset(f"qreg q[3]; h q[0]; {cnot} q[0],q[1]; cx q[1],q[2];")
     assert c.num_qubits == 3
     assert c.two_qubit_gates == ((0, 1), (1, 2))
 

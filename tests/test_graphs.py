@@ -29,6 +29,7 @@ def test_from_edges_normalizes_and_dedups():
     g = graph_from_edges(3, [(1, 0), (0, 1), (2, 1)])
     assert g.edge_list == ((0, 1), (1, 2))
     assert g.degrees == (1, 2, 1)
+    assert g.masks == (0b010, 0b101, 0b010)
 
 
 def test_rejects_self_loops_and_out_of_range():
